@@ -482,7 +482,8 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
 /// The online query daemon (DESIGN.md §16): newline-delimited JSON
 /// requests in, one typed response line per request out, with bounded
 /// admission (`--queue`), certified load shedding (`--shed`), and
-/// micro-batch coalescing (`--batch`) through the parallel engine. The
+/// micro-batches dispatched whenever the input drains, capped at
+/// `--batch`, through the parallel engine. The
 /// response transcript on stdout is deterministic — summary lines go to
 /// stderr — and the process exits 2 when any request faulted inside the
 /// containment boundary, mirroring `batch`'s exit-code contract.
@@ -596,10 +597,12 @@ pub fn serve(p: &Parsed) -> Result<CmdOutput, String> {
     match (p.has("stdio"), p.get("listen")) {
         (true, Some(_)) => return Err("--stdio conflicts with --listen".into()),
         (true, None) => {
-            let stdin = std::io::stdin();
+            // 64 KiB (a full Linux pipe buffer) rather than StdinLock's
+            // 8 KiB, so one read drains everything already written.
+            let stdin = std::io::BufReader::with_capacity(1 << 16, std::io::stdin().lock());
             let stdout = std::io::stdout();
             server
-                .run(stdin.lock(), stdout.lock(), std::io::stderr())
+                .run(stdin, stdout.lock(), std::io::stderr())
                 .map_err(|e| format!("serve transport error: {e}"))?;
         }
         (false, Some(addr)) => serve_tcp(&mut server, addr)?,

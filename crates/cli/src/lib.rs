@@ -87,8 +87,12 @@ commands:
             1024; overflow gets a typed 'rejected' line), sheds load at
             --shed pending (default 3/4 of the queue) by answering from
             the certified root interval with zero refinement work, and
-            coalesces micro-batches of --batch requests (default 64)
-            for the parallel engine; a request's 'deadline_ms' shrinks
+            dispatches to the parallel engine whenever stdin drains: a
+            lone request is answered at once, and under load a
+            micro-batch holds whatever arrived while the engine was
+            busy, capped at --batch requests (default 64); lines over
+            1 MiB, non-UTF-8 lines and JSON nested deeper than 128 get
+            typed protocol errors; a request's 'deadline_ms' shrinks
             its refinement budget by the time it waited in the queue
             (already-expired deadlines do zero work); 'shutdown' or EOF
             drains every admitted request and prints a final summary to

@@ -91,7 +91,7 @@ pub use scan::{LibSvmScan, Scan};
 pub use serve::stats_json_with_run;
 pub use serve::{
     parse_json, push_num, push_str_json, stats_json, Json, LatencyHistogram, ServeConfig,
-    ServeStats, Server, StatsSnapshot,
+    ServeStats, Server, StatsSnapshot, MAX_JSON_DEPTH, MAX_LINE_BYTES,
 };
 pub use stream::StreamingEvaluator;
 pub use tuning::{

@@ -6,6 +6,13 @@
 //! engine, and composes every robustness primitive the library already
 //! has into an admission-control state machine:
 //!
+//! * **Dispatch when the input drains** — the loop admits every complete
+//!   line the transport has already delivered, then dispatches before the
+//!   read that may block. A lone request is answered at once; under load
+//!   a micro-batch grows to whatever arrived while the engine was busy,
+//!   capped at [`ServeConfig::batch_max`]. There is no linger clock: the
+//!   engine answers each query on its own, so waiting for company buys
+//!   nothing.
 //! * **Bounded admission queue** — beyond the high watermark
 //!   ([`ServeConfig::queue_cap`]) a request is answered immediately with a
 //!   typed `rejected` line ([`KarlError::Overloaded`]) instead of growing
@@ -34,11 +41,17 @@
 //! # Determinism
 //!
 //! The read loop is synchronous: admission decisions (admit / shed /
-//! reject) are a pure function of the request script and the configured
-//! watermarks, never of wall-clock time, and the batch engine is bitwise
-//! deterministic at any thread count. A fixed request script therefore
-//! produces a byte-identical response transcript at 1/2/4/8 worker
-//! threads and under any SIMD backend — unless the script itself opts
+//! reject) are a pure function of the request script, of how the
+//! transport chunks it (each chunk ends in a dispatch), and of the
+//! configured watermarks — never of wall-clock time. In-memory input
+//! (`Cursor`, `&[u8]`) arrives in one chunk, and a regular file in
+//! fixed-size ones, so both stay deterministic; a pipe or socket chunks
+//! by arrival timing, which can change micro-batch boundaries and the
+//! shed/reject partition but never an answer's bits. The batch engine is
+//! bitwise deterministic at any thread count. A fixed request script
+//! from a deterministic source therefore produces a byte-identical
+//! response transcript at 1/2/4/8 worker threads and under any SIMD
+//! backend — unless the script itself opts
 //! into wall-clock behavior with a nonzero `deadline_ms`. (`deadline_ms`
 //! of `0` is deterministic: the remaining deadline saturates to zero
 //! regardless of queue time.) The one exception is the `stats` response,
@@ -51,7 +64,9 @@
 //! # Protocol
 //!
 //! One JSON object per line. Blank lines and lines starting with `#` are
-//! ignored. Requests:
+//! ignored. A line that is not UTF-8, longer than [`MAX_LINE_BYTES`], or
+//! nested deeper than [`MAX_JSON_DEPTH`] gets a typed protocol error with
+//! its `line` number, and serving continues. Requests:
 //!
 //! ```text
 //! {"id":1,"op":"tkaq","tau":0.3,"q":[0.1,0.2]}
@@ -149,12 +164,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts; deeper input is an
+/// `Err`, never a stack overflow.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses one JSON value (the wire dialect above) from `s`, rejecting
-/// trailing garbage. Errors are human-readable with a byte offset.
+/// trailing garbage and nesting deeper than [`MAX_JSON_DEPTH`]. Errors
+/// are human-readable with a byte offset.
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -168,6 +189,8 @@ pub fn parse_json(s: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -197,8 +220,22 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
             None => Err("unexpected end of input".into()),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.eat("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Json::Bool(false)),
@@ -311,13 +348,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched:
-                    // find the char at this byte position in the source str.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape in one
+                    // piece (linear in its length): both delimiters are
+                    // ASCII, so the run ends on a char boundary of the
+                    // source str and multi-byte sequences pass untouched.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -602,13 +643,19 @@ impl ServeStats {
 // Configuration and server
 // ---------------------------------------------------------------------------
 
+/// Longest request line [`Server::run`] buffers, newline excluded. A
+/// longer line gets a typed `Protocol` error and its bytes up to the next
+/// newline are discarded, so one endless line cannot grow memory without
+/// bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Admission-control configuration for a [`Server`].
 ///
 /// Invariant (checked by [`Server::new`]): `queue_cap >= 1` and
 /// `batch_max >= 1`. The watermarks compose as `shed_at <= queue_cap`
 /// for shedding to be reachable (a request is rejected before it could
 /// be shed once the queue is full) and `batch_max <= queue_cap` for
-/// dispatch to trigger before rejection in steady state; both are
+/// the cap to dispatch before rejection within one input chunk; both are
 /// allowed to violate those inequalities deliberately — e.g. tests set
 /// `batch_max > queue_cap` to force an overflow burst.
 #[derive(Debug, Clone)]
@@ -619,8 +666,11 @@ pub struct ServeConfig {
     /// Shed watermark: at or above this pending depth, new admissions are
     /// answered under the zero-work budget (certified root interval).
     pub shed_at: usize,
-    /// Micro-batch size: pending requests are dispatched to the engine as
-    /// soon as this many are queued (or on `flush`/`stats`/`shutdown`/EOF).
+    /// Micro-batch cap: pending requests are dispatched whenever the input
+    /// drains (the transport has no further complete line buffered), on
+    /// `flush`/`stats`/`shutdown`/EOF, and at the latest once this many
+    /// are queued. Under load a batch grows to whatever arrived while the
+    /// engine was busy, up to this cap.
     pub batch_max: usize,
     /// Worker threads per micro-batch (`None`: `KARL_THREADS`, then
     /// available parallelism — see
@@ -736,9 +786,14 @@ impl<'a> Server<'a> {
     /// Runs the request loop until `shutdown` or EOF: reads one
     /// newline-delimited JSON request per line from `reader`, writes one
     /// response line per query to `out`, and human-facing summary lines to
-    /// `log`. On return every admitted request has been answered exactly
-    /// once (graceful drain). Only transport I/O errors abort the loop;
-    /// malformed requests and poisoned queries get typed response lines.
+    /// `log`. Input is consumed one [`fill_buf`](BufRead::fill_buf) chunk
+    /// at a time: every complete line in the chunk is admitted, a partial
+    /// tail line is carried over, and the pending requests are dispatched
+    /// before the next `fill_buf` — the call that may block. On return
+    /// every admitted request has been answered exactly once (graceful
+    /// drain). Only transport I/O errors abort the loop; malformed,
+    /// overlong or non-UTF-8 lines and poisoned queries get typed
+    /// response lines.
     pub fn run<R: BufRead, W: Write, L: Write>(
         &mut self,
         mut reader: R,
@@ -757,124 +812,56 @@ impl<'a> Server<'a> {
             self.cfg.batch_max,
             threads
         )?;
-        let mut line = String::new();
+        // The partial line carried across chunks, and whether the rest of
+        // an overlong line is being discarded up to its newline.
+        let mut line: Vec<u8> = Vec::new();
+        let mut skipping = false;
         let mut line_no = 0u64;
         loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break; // EOF: drain below.
-            }
-            line_no += 1;
-            let text = line.trim();
-            if text.is_empty() || text.starts_with('#') {
-                continue;
-            }
-            let value = match parse_json(text) {
-                Ok(v) => v,
-                Err(reason) => {
-                    self.stats.protocol_errors += 1;
-                    let e = KarlError::Protocol { reason };
-                    write_error_line(&mut out, None, Some(line_no), &e)?;
-                    continue;
-                }
+            // Every complete line the transport has delivered is admitted:
+            // dispatch them before the read that may block.
+            self.flush(&mut out)?;
+            let chunk = match reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             };
-            match decode_request(&value, self.eval.dims()) {
-                Err((id, e)) => {
+            if chunk.is_empty() {
+                // EOF: an unterminated last line still counts; drain below.
+                if !line.is_empty() {
+                    line_no += 1;
+                    self.handle_line(&line, line_no, &mut out, &mut log, threads)?;
+                }
+                break;
+            }
+            let mut rest = chunk;
+            let mut stop = false;
+            while !rest.is_empty() && !stop {
+                let newline = rest.iter().position(|&b| b == b'\n');
+                let segment = &rest[..newline.unwrap_or(rest.len())];
+                rest = &rest[newline.map_or(rest.len(), |i| i + 1)..];
+                if skipping {
+                    skipping = newline.is_none();
+                } else if line.len() + segment.len() > MAX_LINE_BYTES {
+                    line.clear();
+                    line_no += 1;
+                    skipping = newline.is_none();
                     self.stats.protocol_errors += 1;
-                    write_error_line(&mut out, id, Some(line_no), &e)?;
-                }
-                Ok(Request::Query {
-                    id,
-                    query,
-                    q,
-                    deadline,
-                }) => {
-                    self.stats.queries += 1;
-                    if self.pending.len() >= self.cfg.queue_cap {
-                        self.stats.rejected += 1;
-                        let e = KarlError::Overloaded {
-                            capacity: self.cfg.queue_cap,
-                        };
-                        let mut resp = String::with_capacity(64);
-                        let _ = write!(resp, "{{\"id\":{id},\"status\":\"rejected\",\"error\":");
-                        push_str_json(&mut resp, &e.to_string());
-                        resp.push_str("}\n");
-                        out.write_all(resp.as_bytes())?;
-                        out.flush()?;
-                        continue;
-                    }
-                    let shed = self.pending.len() >= self.cfg.shed_at;
-                    if shed {
-                        self.stats.shed += 1;
-                    }
-                    self.stats.admitted += 1;
-                    self.pending.push(Pending {
-                        id,
-                        query,
-                        q,
-                        shed,
-                        deadline,
-                        admitted_at: Instant::now(),
-                    });
-                    self.stats.queue_depth_max =
-                        self.stats.queue_depth_max.max(self.pending.len() as u64);
-                    if self.pending.len() >= self.cfg.batch_max {
-                        self.flush(&mut out)?;
-                    }
-                    if self.cfg.summary_every > 0
-                        && self.stats.admitted.is_multiple_of(self.cfg.summary_every)
-                    {
-                        self.write_summary(&mut log, threads)?;
+                    let e = proto(format!("request line longer than {MAX_LINE_BYTES} bytes"));
+                    write_error_line(&mut out, None, Some(line_no), &e)?;
+                } else {
+                    line.extend_from_slice(segment);
+                    if newline.is_some() {
+                        line_no += 1;
+                        stop = self.handle_line(&line, line_no, &mut out, &mut log, threads)?;
+                        line.clear();
                     }
                 }
-                Ok(Request::Flush) => self.flush(&mut out)?,
-                Ok(Request::Stats { id, latency }) => {
-                    // Flush first so the counters describe a settled queue
-                    // (and the response order stays deterministic).
-                    self.flush(&mut out)?;
-                    let mut resp = String::with_capacity(256);
-                    resp.push('{');
-                    if let Some(id) = id {
-                        let _ = write!(resp, "\"id\":{id},");
-                    }
-                    resp.push_str("\"status\":\"stats\"");
-                    if latency {
-                        let _ = write!(
-                            resp,
-                            ",\"p50_us\":{},\"p99_us\":{}",
-                            self.stats.p50_us(),
-                            self.stats.p99_us()
-                        );
-                    }
-                    resp.push_str(",\"stats\":");
-                    let snap = self.stats.snapshot(threads as u64);
-                    #[cfg(feature = "stats")]
-                    resp.push_str(&stats_json_with_run(&snap, &self.stats.run));
-                    #[cfg(not(feature = "stats"))]
-                    resp.push_str(&stats_json(&snap));
-                    resp.push_str("}\n");
-                    out.write_all(resp.as_bytes())?;
-                    out.flush()?;
-                }
-                Ok(Request::Shutdown { id }) => {
-                    let draining = self.pending.len();
-                    self.flush(&mut out)?;
-                    let mut resp = String::with_capacity(64);
-                    resp.push('{');
-                    if let Some(id) = id {
-                        let _ = write!(resp, "\"id\":{id},");
-                    }
-                    let _ = write!(
-                        resp,
-                        "\"status\":\"shutdown\",\"admitted\":{},\"drained\":{draining}}}",
-                        self.stats.admitted
-                    );
-                    resp.push('\n');
-                    out.write_all(resp.as_bytes())?;
-                    out.flush()?;
-                    self.shutdown = true;
-                    break;
-                }
+            }
+            let used = chunk.len() - rest.len();
+            reader.consume(used);
+            if stop {
+                break;
             }
         }
         // Graceful drain: stop admitting (the loop has exited), answer
@@ -882,6 +869,136 @@ impl<'a> Server<'a> {
         self.flush(&mut out)?;
         self.write_summary(&mut log, threads)?;
         Ok(())
+    }
+
+    /// Handles one complete request line (newline stripped); returns
+    /// whether it was `shutdown`.
+    fn handle_line<W: Write, L: Write>(
+        &mut self,
+        bytes: &[u8],
+        line_no: u64,
+        out: &mut W,
+        log: &mut L,
+        threads: usize,
+    ) -> io::Result<bool> {
+        let Ok(text) = std::str::from_utf8(bytes) else {
+            self.stats.protocol_errors += 1;
+            let e = proto("request line is not valid UTF-8");
+            write_error_line(out, None, Some(line_no), &e)?;
+            return Ok(false);
+        };
+        let text = text.trim();
+        if text.is_empty() || text.starts_with('#') {
+            return Ok(false);
+        }
+        let value = match parse_json(text) {
+            Ok(v) => v,
+            Err(reason) => {
+                self.stats.protocol_errors += 1;
+                let e = KarlError::Protocol { reason };
+                write_error_line(out, None, Some(line_no), &e)?;
+                return Ok(false);
+            }
+        };
+        match decode_request(&value, self.eval.dims()) {
+            Err((id, e)) => {
+                self.stats.protocol_errors += 1;
+                write_error_line(out, id, Some(line_no), &e)?;
+            }
+            Ok(Request::Query {
+                id,
+                query,
+                q,
+                deadline,
+            }) => {
+                self.stats.queries += 1;
+                if self.pending.len() >= self.cfg.queue_cap {
+                    self.stats.rejected += 1;
+                    let e = KarlError::Overloaded {
+                        capacity: self.cfg.queue_cap,
+                    };
+                    let mut resp = String::with_capacity(64);
+                    let _ = write!(resp, "{{\"id\":{id},\"status\":\"rejected\",\"error\":");
+                    push_str_json(&mut resp, &e.to_string());
+                    resp.push_str("}\n");
+                    out.write_all(resp.as_bytes())?;
+                    out.flush()?;
+                    return Ok(false);
+                }
+                let shed = self.pending.len() >= self.cfg.shed_at;
+                if shed {
+                    self.stats.shed += 1;
+                }
+                self.stats.admitted += 1;
+                self.pending.push(Pending {
+                    id,
+                    query,
+                    q,
+                    shed,
+                    deadline,
+                    admitted_at: Instant::now(),
+                });
+                self.stats.queue_depth_max =
+                    self.stats.queue_depth_max.max(self.pending.len() as u64);
+                if self.pending.len() >= self.cfg.batch_max {
+                    self.flush(out)?;
+                }
+                if self.cfg.summary_every > 0
+                    && self.stats.admitted.is_multiple_of(self.cfg.summary_every)
+                {
+                    self.write_summary(log, threads)?;
+                }
+            }
+            Ok(Request::Flush) => self.flush(out)?,
+            Ok(Request::Stats { id, latency }) => {
+                // Flush first so the counters describe a settled queue
+                // (and the response order stays deterministic).
+                self.flush(out)?;
+                let mut resp = String::with_capacity(256);
+                resp.push('{');
+                if let Some(id) = id {
+                    let _ = write!(resp, "\"id\":{id},");
+                }
+                resp.push_str("\"status\":\"stats\"");
+                if latency {
+                    let _ = write!(
+                        resp,
+                        ",\"p50_us\":{},\"p99_us\":{}",
+                        self.stats.p50_us(),
+                        self.stats.p99_us()
+                    );
+                }
+                resp.push_str(",\"stats\":");
+                let snap = self.stats.snapshot(threads as u64);
+                #[cfg(feature = "stats")]
+                resp.push_str(&stats_json_with_run(&snap, &self.stats.run));
+                #[cfg(not(feature = "stats"))]
+                resp.push_str(&stats_json(&snap));
+                resp.push_str("}\n");
+                out.write_all(resp.as_bytes())?;
+                out.flush()?;
+            }
+            Ok(Request::Shutdown { id }) => {
+                let draining = self.pending.len();
+                self.flush(out)?;
+                let mut resp = String::with_capacity(64);
+                resp.push('{');
+                if let Some(id) = id {
+                    let _ = write!(resp, "\"id\":{id},");
+                }
+                let _ = write!(
+                    resp,
+                    "\"status\":\"shutdown\",\"admitted\":{},\"drained\":{draining}}}",
+                    self.stats.admitted
+                );
+                resp.push('\n');
+                out.write_all(resp.as_bytes())?;
+                out.flush()?;
+                self.shutdown = true;
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 
     /// Dispatches every pending request as micro-batch groups and writes
@@ -1211,6 +1328,84 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("nope").is_err());
+    }
+
+    /// Wire fragments the garbage generator strings together.
+    const FRAGMENTS: [&str; 20] = [
+        "[", "]", "{", "}", "\"", "\\", ":", ",", "1", "-", "e", ".", "NaN", "Infinity",
+        "-Infinity", "true", "null", " ", "é", "\\u00e9",
+    ];
+
+    /// A hostile line of shape `kind`: 0 unclosed nesting `size` deep,
+    /// 1 balanced array/object nesting `size % 256` deep around a `0`
+    /// (a bare `0` at depth 0), 2 a flat array of
+    /// `size` numbers, 3 a string of `size` multi-byte chars and escapes,
+    /// 4 `picks` fragments repeated up to `size / 64` times.
+    fn hostile_line(kind: usize, size: usize, picks: &[usize]) -> String {
+        match kind {
+            0 => "[".repeat(size),
+            1 => {
+                let depth = size % 256;
+                let open: String = (0..depth).map(|i| if i % 2 == 0 { "[" } else { "{\"k\":" }).collect();
+                let close: String =
+                    (0..depth).rev().map(|i| if i % 2 == 0 { "]" } else { "}" }).collect();
+                format!("{open}0{close}")
+            }
+            2 => format!("[{}]", vec!["-1.5e3"; size].join(",")),
+            3 => format!("\"{}\"", "é\\n\\u00e9".repeat(size / 8)),
+            _ => {
+                let piece: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+                piece.repeat(1 + size / 64)
+            }
+        }
+    }
+
+    karl_testkit::props! {
+        /// Deep, long and garbage input never panics or overflows the
+        /// stack: every line either parses or returns `Err`, and balanced
+        /// nesting parses exactly when it is at most `MAX_JSON_DEPTH` deep.
+        #[test]
+        fn prop_parse_json_is_total_on_hostile_input(
+            kind in 0usize..5,
+            size in 0usize..300_000,
+            picks in karl_testkit::props::vec_of(0usize..FRAGMENTS.len(), 0..48),
+        ) {
+            let line = hostile_line(kind, size, &picks);
+            let parsed = parse_json(&line);
+            match kind {
+                0 => {
+                    let err = parsed.expect_err("unclosed nesting");
+                    karl_testkit::prop_assert_eq!(
+                        err.starts_with("nesting deeper than 128"),
+                        size > MAX_JSON_DEPTH,
+                        "{}",
+                        err
+                    );
+                }
+                1 => {
+                    let depth = size % 256;
+                    karl_testkit::prop_assert_eq!(
+                        parsed.is_ok(),
+                        depth <= MAX_JSON_DEPTH,
+                        "depth {}: {:?}",
+                        depth,
+                        parsed.err()
+                    );
+                }
+                2 => {
+                    let v = parsed.expect("a flat number array parses");
+                    karl_testkit::prop_assert_eq!(v.as_arr().map(<[Json]>::len), Some(size));
+                }
+                3 => {
+                    let v = parsed.expect("a long string parses");
+                    karl_testkit::prop_assert_eq!(
+                        v.as_str().map(|s| s.chars().count()),
+                        Some(size / 8 * 3)
+                    );
+                }
+                _ => {}
+            }
+        }
     }
 
     #[test]

@@ -190,6 +190,36 @@ printf '%s\n' '{"id":1,"op":"ekaq","eps":0.05,"q":'"$(python3 -c "import sys;pri
     < "$serve_tmp/clean.ndjson" >/dev/null 2>&1
 echo "ok: serve transcript byte-stable across threads and SIMD; exit codes 2/0 as specified"
 
+echo "==> guard: serve liveness — a lone request is answered while stdin stays open"
+# An interactive client over a pipe: one request, stdin kept open, and
+# the response must arrive within 5 s (the daemon dispatches when its
+# input drains, not when a micro-batch fills). Then a clean shutdown.
+python3 - "$karl" "$serve_tmp/data.csv" "$dims" <<'PY'
+import select, subprocess, sys
+karl, data, d = sys.argv[1], sys.argv[2], int(sys.argv[3])
+p = subprocess.Popen([karl, "serve", "--stdio", "--data", data],
+                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                     stderr=subprocess.DEVNULL)
+q = ",".join("0.1" for _ in range(d))
+p.stdin.write(('{"id":1,"op":"ekaq","eps":0.05,"q":[%s]}\n' % q).encode())
+p.stdin.flush()
+ready, _, _ = select.select([p.stdout], [], [], 5.0)
+if not ready:
+    p.kill()
+    sys.exit("serve liveness: no response to a lone request within 5 s")
+line = p.stdout.readline().decode()
+if '"id":1,"status":"ok"' not in line:
+    p.kill()
+    sys.exit("serve liveness: unexpected response %r" % line)
+p.stdin.write(b'{"id":2,"op":"shutdown"}\n')
+p.stdin.close()
+rest = p.stdout.read().decode()
+rc = p.wait(timeout=30)
+if rc != 0 or '"status":"shutdown"' not in rest:
+    sys.exit("serve liveness: shutdown exit %d, output %r" % (rc, rest))
+PY
+echo "ok: a lone request is answered without waiting for a batch to fill"
+
 echo "==> guard: batch --stats-json byte-stable across runs"
 "$karl" batch --data "$serve_tmp/data.csv" --queries "$serve_tmp/data.csv" \
     --tau 0.3 --threads 2 --stats-json "$serve_tmp/stats1.json" >/dev/null

@@ -12,14 +12,20 @@
 //! * an already-expired per-request deadline (`deadline_ms: 0`) answers
 //!   from the certified root interval with zero refinement work,
 //! * malformed lines get typed protocol errors without disturbing their
-//!   neighbors, and invalid configurations are rejected up front.
+//!   neighbors — non-UTF-8 and overlong lines included — and invalid
+//!   configurations are rejected up front,
+//! * dispatch happens when the input drains: a lone request is answered
+//!   before the server asks for more input, and a script fed in 7-byte
+//!   chunks gets the same answers as the same script fed whole.
 
-use std::collections::BTreeMap;
-use std::io::Cursor;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{self, BufRead, Cursor, Read, Write};
+use std::rc::Rc;
 
 use karl::core::{
     parse_json, AnyEvaluator, BoundMethod, Budget, IndexKind, Json, Kernel, Query, QueryBatch,
-    ServeConfig, ServeStats, Server,
+    ServeConfig, ServeStats, Server, MAX_LINE_BYTES,
 };
 use karl::geom::PointSet;
 use karl_testkit::rng::{Rng, SeedableRng, StdRng};
@@ -54,11 +60,20 @@ fn evaluator(seed: u64) -> AnyEvaluator {
 /// Runs `script` through a fresh server, returning the response
 /// transcript, the final counters, and whether `shutdown` ended the loop.
 fn run_script(eval: &AnyEvaluator, cfg: ServeConfig, script: &str) -> (String, ServeStats, bool) {
+    run_reader(eval, cfg, Cursor::new(script.as_bytes().to_vec()))
+}
+
+/// [`run_script`] over any transport.
+fn run_reader(
+    eval: &AnyEvaluator,
+    cfg: ServeConfig,
+    reader: impl BufRead,
+) -> (String, ServeStats, bool) {
     let mut server = Server::new(eval, cfg).expect("valid config");
     let mut out = Vec::new();
     let mut log = Vec::new();
     server
-        .run(Cursor::new(script.as_bytes().to_vec()), &mut out, &mut log)
+        .run(reader, &mut out, &mut log)
         .expect("in-memory transport cannot fail");
     let stats = server.stats().clone();
     let shutdown = server.shutdown_requested();
@@ -398,4 +413,228 @@ fn invalid_configs_are_rejected_up_front() {
         assert!(err.contains("invalid serve config"), "{err}");
         assert!(err.contains(needle), "{err}");
     }
+}
+
+/// Hands `bytes` to the server at most `chunk` bytes per `fill_buf`, the
+/// way a pipe or socket delivers whatever has arrived so far.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    chunk: usize,
+}
+
+impl<'a> Chunked<'a> {
+    fn new(bytes: &'a [u8], chunk: usize) -> Self {
+        Chunked {
+            bytes,
+            pos: 0,
+            chunk,
+        }
+    }
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let n = self.fill_buf()?.read(out)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for Chunked<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        let end = self.bytes.len().min(self.pos.saturating_add(self.chunk));
+        Ok(&self.bytes[self.pos..end])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.pos += amt;
+    }
+}
+
+/// One eKAQ request line (eps 0.05), newline included.
+fn ekaq_line(id: u64, q: [f64; 2]) -> String {
+    format!("{{\"id\":{id},\"op\":\"ekaq\",\"eps\":0.05,\"q\":[{},{}]}}\n", q[0], q[1])
+}
+
+/// A non-UTF-8 line is a typed per-line protocol error, not the end of
+/// the session: the requests on either side are still answered.
+#[test]
+fn non_utf8_line_gets_a_typed_error_and_serving_continues() {
+    let eval = evaluator(49);
+    let mut bytes = ekaq_line(1, [0.1, 0.2]).into_bytes();
+    bytes.extend_from_slice(b"\xff\n");
+    bytes.extend_from_slice(ekaq_line(2, [0.3, -0.4]).as_bytes());
+    bytes.extend_from_slice(b"{\"id\":3,\"op\":\"shutdown\"}\n");
+
+    let (transcript, stats, shutdown) = run_reader(&eval, ServeConfig::default(), &bytes[..]);
+    assert!(shutdown, "the session must survive to its shutdown line");
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.admitted, 2);
+    let by_id = responses_by_id(&transcript);
+    assert_eq!(by_id[&1].0, "ok");
+    assert_eq!(by_id[&2].0, "ok");
+    let error_line = transcript
+        .lines()
+        .find(|l| l.contains("\"status\":\"error\""))
+        .expect("typed error line");
+    assert!(error_line.contains("\"line\":2"), "{error_line}");
+    assert!(error_line.contains("UTF-8"), "{error_line}");
+}
+
+/// A 4 MiB line is refused with a typed error once it passes
+/// `MAX_LINE_BYTES`, its remaining bytes are skipped up to the newline,
+/// and the next request is served — whether the line arrives in one
+/// chunk or in pipe-sized pieces.
+#[test]
+fn overlong_line_is_refused_and_skipped() {
+    let eval = evaluator(50);
+    let mut bytes = ekaq_line(1, [0.1, 0.2]).into_bytes();
+    bytes.resize(bytes.len() + (4 << 20), b'[');
+    bytes.push(b'\n');
+    bytes.extend_from_slice(ekaq_line(2, [0.3, -0.4]).as_bytes());
+    for chunk in [usize::MAX, 1 << 16] {
+        let (transcript, stats, _) =
+            run_reader(&eval, ServeConfig::default(), Chunked::new(&bytes, chunk));
+        assert_eq!(stats.protocol_errors, 1, "chunk {chunk}");
+        assert_eq!(stats.admitted, 2, "chunk {chunk}");
+        let by_id = responses_by_id(&transcript);
+        assert_eq!(by_id[&1].0, "ok");
+        assert_eq!(by_id[&2].0, "ok");
+        let error_line = transcript
+            .lines()
+            .find(|l| l.contains("\"status\":\"error\""))
+            .expect("typed error line");
+        assert!(error_line.contains("\"line\":2"), "{error_line}");
+        assert!(
+            error_line.contains(&format!("longer than {MAX_LINE_BYTES} bytes")),
+            "{error_line}"
+        );
+        assert_eq!(transcript.lines().count(), 3, "one line per request: {transcript}");
+    }
+}
+
+/// A `Write` the test can inspect while the server is still running.
+#[derive(Clone, Default)]
+struct SharedOut(Rc<RefCell<Vec<u8>>>);
+
+impl Write for SharedOut {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// An interactive client: hands over one request line per `fill_buf` and
+/// fails the session if the server asks for more input while a request
+/// it already delivered is unanswered — a server that waits for company
+/// before dispatching would deadlock a real client right there.
+struct OneAtATime {
+    lines: VecDeque<String>,
+    current: Vec<u8>,
+    pos: usize,
+    delivered: usize,
+    out: SharedOut,
+}
+
+impl Read for OneAtATime {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let n = self.fill_buf()?.read(out)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for OneAtATime {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        if self.pos == self.current.len() {
+            let answered = self.out.0.borrow().iter().filter(|&&b| b == b'\n').count();
+            if answered < self.delivered {
+                return Err(io::Error::other(format!(
+                    "asked for more input with {} of {} requests unanswered",
+                    self.delivered - answered,
+                    self.delivered
+                )));
+            }
+            let Some(line) = self.lines.pop_front() else {
+                return Ok(&[]);
+            };
+            self.current = line.into_bytes();
+            self.pos = 0;
+            self.delivered += 1;
+        }
+        Ok(&self.current[self.pos..])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.pos += amt;
+    }
+}
+
+/// A single request, then wait: each one is answered before the server
+/// reads again, at the default `batch_max` of 64.
+#[test]
+fn lone_request_is_answered_before_the_next_read() {
+    let eval = evaluator(51);
+    let mut rng = StdRng::seed_from_u64(37);
+    let lines: VecDeque<String> = (1..=5)
+        .map(|id| ekaq_line(id, [rng.random_range(-2.5..2.5), rng.random_range(-2.5..2.5)]))
+        .collect();
+    let out = SharedOut::default();
+    let reader = OneAtATime {
+        lines,
+        current: Vec::new(),
+        pos: 0,
+        delivered: 0,
+        out: out.clone(),
+    };
+    let mut server = Server::new(&eval, ServeConfig::default()).expect("valid config");
+    server
+        .run(reader, out.clone(), io::sink())
+        .expect("every request answered before the next read");
+    assert_eq!(server.stats().batches, 5, "one dispatch per lone request");
+    let transcript = String::from_utf8(out.0.borrow().clone()).expect("utf-8");
+    let by_id = responses_by_id(&transcript);
+    assert!((1..=5).all(|id| by_id[&id].0 == "ok"), "{transcript}");
+}
+
+/// Chunking moves micro-batch boundaries, never answers: the same
+/// watermark-free script fed 7 bytes per read and fed whole gets the
+/// same ids, statuses and answer bits. Lines split mid-token (and mid
+/// UTF-8 sequence, in the comment) are carried across reads.
+#[test]
+fn chunked_and_whole_scripts_get_the_same_answers() {
+    let eval = evaluator(52);
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut script = ScriptBuilder::new();
+    for i in 0..18 {
+        let q: Vec<f64> = (0..2).map(|_| rng.random_range(-2.5..2.5)).collect();
+        match i % 3 {
+            0 => script.ekaq(0.05, &q),
+            1 => script.tkaq(0.3, &q),
+            _ => script.within(0.01, &q),
+        };
+        if i == 7 {
+            script.raw("# naïve comment — split across reads");
+            script.raw("not json");
+        }
+    }
+    script.stats();
+    script.shutdown();
+    let script = script.build();
+
+    let (whole, whole_stats, _) = run_script(&eval, ServeConfig::default(), &script);
+    let (chunked, chunked_stats, _) = run_reader(
+        &eval,
+        ServeConfig::default(),
+        Chunked::new(script.as_bytes(), 7),
+    );
+    assert_eq!(whole_stats.batches, 1, "in-memory input arrives in one read");
+    assert!(chunked_stats.batches > 1, "7-byte reads dispatch as lines complete");
+    assert_eq!(chunked_stats.protocol_errors, 1);
+    assert_eq!(responses_by_id(&chunked), responses_by_id(&whole));
 }
