@@ -8,9 +8,8 @@
 //! identically, which this bench re-verifies on a query probe each run).
 //!
 //! Wall clock is best-of-N like the other throughput benches. Set
-//! `KARL_BENCH_JSON=<path>` for machine-readable output (this is how
-//! `scripts/bench_json.sh` fills the cold_start section of
-//! `BENCH_PR8.json`). Sizing override: `KARL_BENCH_COLD_N` sets the
+//! `KARL_BENCH_JSON=<path>` for machine-readable output, written there as
+//! a standalone file. Sizing override: `KARL_BENCH_COLD_N` sets the
 //! largest size; the other two are N/16 and N/4.
 
 use std::time::Instant;

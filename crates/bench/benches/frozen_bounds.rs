@@ -6,24 +6,12 @@
 //! (`node_bounds_frozen` over the flat buffers through the fused
 //! kernels).
 //!
-//! A second section isolates the envelope construction itself: real
-//! `(lo, hi, x̄)` intervals are harvested from the workload, then swept
-//! three ways — direct [`envelope_parts`] calls (which since PR 4 share
-//! the endpoint curve evaluations between the range, the chord and the
-//! tangent), a cold [`EnvelopeCache`] (every key misses and inserts), and
-//! a warm one (every key hits). The warm rate is the ceiling for
-//! duplicate-heavy query streams; single-shot streams pay the cold rate.
-//!
-//! Emits JSON when `KARL_BENCH_JSON=<path>` is set (merged into
-//! `BENCH_PR4.json` by `scripts/bench_json.sh`). Sizing overrides:
+//! Emits JSON when `KARL_BENCH_JSON=<path>` is set. Sizing overrides:
 //! `KARL_BENCH_N` (points), `KARL_BENCH_BOUND_QUERIES` (queries).
 
 use std::time::Instant;
 
-use karl_core::{
-    envelope_parts, node_bounds, node_bounds_frozen, node_interval_frozen, BoundMethod,
-    EnvelopeCache, Evaluator, Kernel, QueryContext,
-};
+use karl_core::{node_bounds, node_bounds_frozen, BoundMethod, Evaluator, Kernel, QueryContext};
 use karl_geom::{norm2, Ball, PointSet, Rect};
 use karl_kde::scotts_gamma;
 use karl_testkit::bench::black_box;
@@ -124,78 +112,6 @@ fn bench_family<S: NodeShape>(
     }
 }
 
-/// Harvests the KARL envelope inputs `(lo, hi, x̄)` the refinement loop
-/// would actually see: every positive-weight node of the kd tree against
-/// the query stream, capped at `cap` records.
-fn harvest_envelope_keys(
-    eval: &Evaluator<Rect>,
-    queries: &PointSet,
-    cap: usize,
-) -> Vec<(f64, f64, f64)> {
-    let frozen = eval.pos_frozen().expect("frozen index is always built");
-    let nodes = eval.pos_tree().expect("pos tree").num_nodes();
-    let kernel = *eval.kernel();
-    let mut keys = Vec::with_capacity(cap);
-    'harvest: for q in queries.iter() {
-        let ctx = QueryContext::new(&kernel, BoundMethod::Karl, q);
-        for id in 0..nodes as u32 {
-            let iv = node_interval_frozen(&ctx, frozen, id);
-            if iv.w > 0.0 {
-                keys.push((iv.lo, iv.hi, iv.x_agg / iv.w));
-                if keys.len() >= cap {
-                    break 'harvest;
-                }
-            }
-        }
-    }
-    keys
-}
-
-struct EnvelopeMicro {
-    keys: usize,
-    distinct: usize,
-    uncached_per_s: f64,
-    cold_per_s: f64,
-    warm_per_s: f64,
-}
-
-fn bench_envelope_micro(eval: &Evaluator<Rect>, queries: &PointSet) -> EnvelopeMicro {
-    // Stay under 3/4 of the cache's maximum table so the cold pass is a
-    // pure miss+insert sweep with no clear-in-place events.
-    let keys = harvest_envelope_keys(eval, queries, 16_384);
-    let curve = eval.kernel().curve();
-    let m = keys.len();
-
-    let uncached_per_s = measure(m, || {
-        for &(lo, hi, xb) in &keys {
-            black_box(envelope_parts(curve, lo, hi, xb));
-        }
-    });
-    let cold_per_s = measure(m, || {
-        let mut cache = EnvelopeCache::new();
-        for &(lo, hi, xb) in &keys {
-            black_box(cache.get_or_build(curve, lo, hi, xb));
-        }
-    });
-    let mut warm = EnvelopeCache::new();
-    for &(lo, hi, xb) in &keys {
-        warm.get_or_build(curve, lo, hi, xb);
-    }
-    let distinct = warm.len();
-    let warm_per_s = measure(m, || {
-        for &(lo, hi, xb) in &keys {
-            black_box(warm.get_or_build(curve, lo, hi, xb));
-        }
-    });
-    EnvelopeMicro {
-        keys: m,
-        distinct,
-        uncached_per_s,
-        cold_per_s,
-        warm_per_s,
-    }
-}
-
 fn main() {
     let n = env_usize("KARL_BENCH_N", 100_000);
     let n_queries = env_usize("KARL_BENCH_BOUND_QUERIES", 64);
@@ -232,19 +148,6 @@ fn main() {
         );
     }
 
-    let micro = bench_envelope_micro(&kd, &queries);
-    println!(
-        "\nenvelope micro: {} keys ({} distinct), Gaussian curve",
-        micro.keys, micro.distinct
-    );
-    println!(
-        "{:<22} {:>16}",
-        "path", "envelopes/s"
-    );
-    println!("{:<22} {:>16.0}", "direct (no cache)", micro.uncached_per_s);
-    println!("{:<22} {:>16.0}", "cache cold (miss)", micro.cold_per_s);
-    println!("{:<22} {:>16.0}", "cache warm (hit)", micro.warm_per_s);
-
     if let Ok(path) = std::env::var("KARL_BENCH_JSON") {
         let mut json = String::from("{\n");
         json.push_str("  \"bench\": \"frozen_bounds\",\n");
@@ -257,25 +160,8 @@ fn main() {
              which dominates the coordinate pass at d=8; since PR 4 the \
              builder shares the endpoint curve evaluations between range, \
              chord and tangent (6 exps -> 3 for the Gaussian), which is \
-             what moves the Karl rows. envelope_micro isolates that \
-             builder: cold-cache adds hash+insert overhead to every miss, \
-             warm-cache is the all-hit ceiling and only materializes when \
-             (curve, lo, hi, xbar) bit patterns repeat exactly, as in \
-             duplicate-heavy query streams\",\n",
+             what moves the Karl rows\",\n",
         );
-        json.push_str(&format!(
-            "  \"envelope_micro\": {{\"keys\": {}, \"distinct_keys\": {}, \
-             \"uncached_envelopes_per_s\": {:.0}, \
-             \"cache_cold_envelopes_per_s\": {:.0}, \
-             \"cache_warm_envelopes_per_s\": {:.0}, \
-             \"warm_over_uncached\": {:.3}}},\n",
-            micro.keys,
-            micro.distinct,
-            micro.uncached_per_s,
-            micro.cold_per_s,
-            micro.warm_per_s,
-            micro.warm_per_s / micro.uncached_per_s
-        ));
         json.push_str("  \"results\": [\n");
         for (i, r) in rows.iter().enumerate() {
             json.push_str(&format!(

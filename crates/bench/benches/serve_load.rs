@@ -15,10 +15,10 @@
 //!     admit/shed/reject partition, which is deterministic and identical
 //!     at every thread count.
 //!
-//! Set `KARL_BENCH_JSON=<path>` for machine-readable output (this is how
-//! `scripts/bench_json.sh` folds the results into `BENCH_PR10.json`).
-//! Sizing overrides: `KARL_BENCH_N` (points), `KARL_BENCH_SERVE_REQS`
-//! (steady requests), `KARL_BENCH_SERVE_BURSTS` (overload bursts).
+//! Set `KARL_BENCH_JSON=<path>` for machine-readable output, written
+//! there as a standalone file. Sizing overrides: `KARL_BENCH_N` (points),
+//! `KARL_BENCH_SERVE_REQS` (steady requests), `KARL_BENCH_SERVE_BURSTS`
+//! (overload bursts).
 
 use std::io::Cursor;
 use std::time::Instant;

@@ -17,9 +17,8 @@
 //! probe value — the determinism contract, re-checked in the same run
 //! the speedup is claimed from.
 //!
-//! Emits JSON when `KARL_BENCH_JSON=<path>` is set (merged into
-//! `BENCH_PR9.json` by `scripts/bench_json.sh`), recording the detected
-//! ISA next to every ratio. Sizing overrides: `KARL_BENCH_N` (points),
+//! Emits a standalone JSON file when `KARL_BENCH_JSON=<path>` is set,
+//! recording the detected ISA next to every ratio. Sizing overrides: `KARL_BENCH_N` (points),
 //! `KARL_BENCH_BOUND_QUERIES` (bound-kernel queries).
 
 use std::time::Instant;

@@ -6,16 +6,12 @@
 //! Unlike the other bench targets this one measures whole-batch wall
 //! clock (the quantity the batch engine optimizes), not per-call latency,
 //! and can emit machine-readable JSON: set `KARL_BENCH_JSON=<path>` and
-//! the results are written there (this is how `scripts/bench_json.sh`
-//! produces `BENCH_PR6.json`). Sizing overrides: `KARL_BENCH_N` (points),
-//! `KARL_BENCH_QUERIES` (queries), `KARL_BENCH_GRID` (side of the
-//! clustered query grid in the dual-vs-single TKAQ comparison).
+//! the results are written there. Sizing overrides: `KARL_BENCH_N`
+//! (points), `KARL_BENCH_QUERIES` (queries).
 
 use std::time::Instant;
 
-use karl_core::{
-    BoundMethod, Coreset, Engine, Evaluator, KdEvaluator, Kernel, Query, QueryBatch, Scratch,
-};
+use karl_core::{BoundMethod, Engine, Evaluator, KdEvaluator, Kernel, Query, QueryBatch, Scratch};
 use karl_geom::PointSet;
 use karl_kde::scotts_gamma;
 use karl_testkit::bench::black_box;
@@ -44,27 +40,6 @@ fn synthetic(n: usize, d: usize, seed: u64) -> PointSet {
             0 => data.extend((0..d).map(|_| -1.0 + rng.random_range(-0.3..0.3))),
             1 | 2 => data.extend((0..d).map(|_| 1.0 + rng.random_range(-0.3..0.3))),
             _ => data.extend((0..d).map(|_| rng.random_range(-2.5..2.5))),
-        }
-    }
-    PointSet::new(d, data)
-}
-
-/// Regular 2-D lattice of queries spanning the clustered data's domain
-/// (remaining dims pinned at a blob center) — the KDE level-set shape:
-/// grid regions far from the blobs are decisively below τ, regions on a
-/// blob decisively above, and only the boundary band straddles. Compact
-/// query leaves in the decisive regions are what the dual traversal
-/// decides wholesale.
-fn clustered_grid(side: usize, d: usize) -> PointSet {
-    let step = 4.8 / side.max(2).saturating_sub(1) as f64;
-    let mut data = Vec::with_capacity(side * side * d);
-    for i in 0..side {
-        for j in 0..side {
-            data.push(-2.4 + i as f64 * step);
-            if d > 1 {
-                data.push(-2.4 + j as f64 * step);
-            }
-            data.extend(std::iter::repeat_n(1.0, d.saturating_sub(2)));
         }
     }
     PointSet::new(d, data)
@@ -198,156 +173,6 @@ fn main() {
     };
     run_workload("tkaq", &eval, &queries, Query::Tkaq { tau }, &mut all);
 
-    // Dual-tree vs single-tree on a clustered grid of TKAQ queries —
-    // the canonical KDE level-set workload: a 2-D heat-map grid over a
-    // clustered density, thresholded between the background and the blob
-    // cores. Dual-tree amortization is a *low-dimensional* phenomenon
-    // (in high d, kd-node MBRs are so wide that every query node touches
-    // most data leaves and the joint upper bound floors at the touching
-    // leaves' summed weight — the dual-tree FGT literature benches at
-    // d ≤ 3 for the same reason), so this section builds its own 2-D
-    // evaluator; small data leaves keep the per-leaf weight floor low.
-    // Node visits are the work metric the simultaneous descent cuts:
-    // single = per-query refinement iterations summed over the batch,
-    // dual = pair intervals scored plus the per-query fallback's
-    // iterations. Wall clock is reported too, but on spatially coherent
-    // batches the visit count is the machine-independent signal.
-    let dual_d = 2;
-    let dual_points = synthetic(n, dual_d, 0xBA7C6);
-    // Fixed bandwidth, not Scott's rule: Scott's shrinks with n, and once
-    // the kernel length scale drops to the query-leaf span the joint
-    // intervals widen past usefulness — the level-set workload should
-    // stress the traversal, not bandwidth selection.
-    let dual_gamma = 4.0;
-    let dual_weights = vec![1.0 / n as f64; n];
-    let dual_eval: KdEvaluator = Evaluator::build(
-        &dual_points,
-        &dual_weights,
-        Kernel::gaussian(dual_gamma),
-        BoundMethod::Karl,
-        16,
-    );
-    let side = env_usize("KARL_BENCH_GRID", 64);
-    let gridq = clustered_grid(side, dual_d);
-    // Level-set threshold at 1/8 of the peak blob density: decisively
-    // above the background plateau and decisively below the blob cores,
-    // so only the blob boundary band straddles. Probing the density at a
-    // fixed point keeps τ independent of the grid resolution.
-    let gtau = {
-        let probe = vec![1.0f64; dual_d];
-        dual_eval.ekaq(&probe, 0.05) / 8.0
-    };
-    let gq = Query::Tkaq { tau: gtau };
-    let spec = QueryBatch::new(&gridq, gq).threads(1);
-    let single_out = spec.run(&dual_eval);
-    let dual_out = spec.run_dual(&dual_eval);
-    let single_visits = single_out.total_iterations() as u64;
-    let dual_visits = dual_out.dual_node_visits();
-    let single_qps = measure(gridq.len(), || {
-        black_box(spec.run(&dual_eval));
-    });
-    let dual_qps = measure(gridq.len(), || {
-        black_box(spec.run_dual(&dual_eval));
-    });
-    println!(
-        "\n== throughput_batch/dual_tkaq ({side}x{side} grid over {n} pts x {dual_d} dims, \
-         tau {gtau:.5}) =="
-    );
-    println!(
-        "single: {single_visits} node visits, {single_qps:.0} queries/s\n\
-         dual:   {dual_visits} node visits ({} pairs scored, {} of {} queries wholesale), \
-         {dual_qps:.0} queries/s",
-        dual_out.dual_pairs(),
-        dual_out.dual_wholesale(),
-        gridq.len(),
-    );
-
-    // Coreset cascade vs the full tree on a skewed-τ level-set grid over
-    // REDUNDANT data: the same blob+background density with every
-    // coordinate quantized to a 0.05 sensor lattice, so each occupied
-    // site carries a dozen duplicates (the shape of metered / quantized
-    // feature data). Grid-snap cells at a sub-lattice pitch each capture
-    // one site, the |w|-weighted centroid lands back on the site, and the
-    // certificate comes out *measured* at eps_c ≈ 0 — the coreset is a
-    // certified dedup an order of magnitude smaller than the data. Most
-    // grid queries sit decisively above (blob cores) or below
-    // (background) τ and terminate at coarse node resolution on either
-    // tree; the queries straddling the τ level set must refine to leaf
-    // scans, and there the tier pays compression-fold fewer kernel
-    // evaluations — that is where the end-to-end speedup lives. The
-    // control is the SAME evaluator and batch spec with the cascade flag
-    // off, measured in the same process: the two rows differ only in the
-    // tier.
-    let cs_quant = 0.05;
-    let cs_points = PointSet::new(
-        dual_d,
-        dual_points
-            .iter()
-            .flat_map(|p| p.iter().map(|v| (v / cs_quant).round() * cs_quant))
-            .collect(),
-    );
-    let cs_eval: KdEvaluator = Evaluator::build(
-        &cs_points,
-        &dual_weights,
-        Kernel::gaussian(dual_gamma),
-        BoundMethod::Karl,
-        16,
-    );
-    let cs_tau = {
-        let probe = vec![1.0f64; dual_d];
-        cs_eval.ekaq(&probe, 0.05) / 8.0
-    };
-    // Target ε at half of τ: the grid-snap cell pitch this implies
-    // (ε / (L√d) ≈ 0.01) sits below the 0.05 lattice spacing, so every
-    // cell holds a single site and the certificate measures ≈ 0.
-    let cs_eps = cs_tau / 2.0;
-    let coreset = Coreset::try_build(
-        &cs_points,
-        &dual_weights,
-        Kernel::gaussian(dual_gamma),
-        cs_eps,
-    )
-    .expect("gaussian coreset must build");
-    let cascade_eval = cs_eval
-        .clone()
-        .with_coreset_tier(&coreset, 16)
-        .expect("tier must attach");
-    let cs_query = Query::Tkaq { tau: cs_tau };
-    let control_spec = QueryBatch::new(&gridq, cs_query).threads(1);
-    let cascade_spec = QueryBatch::new(&gridq, cs_query).threads(1).coreset(true);
-    let cascade_out = cascade_spec.run(&cascade_eval);
-    let decided = cascade_out.coreset_decided();
-    let fell = cascade_out.coreset_fallthrough();
-    let decided_frac = decided as f64 / gridq.len() as f64;
-    let control_qps = measure(gridq.len(), || {
-        black_box(control_spec.run(&cs_eval));
-    });
-    let cascade_qps = measure(gridq.len(), || {
-        black_box(cascade_spec.run(&cascade_eval));
-    });
-    println!(
-        "\n== throughput_batch/coreset_cascade ({side}x{side} grid over {n} pts quantized \
-         to a {cs_quant} lattice, tau {cs_tau:.5}, coreset eps {cs_eps:.5}) =="
-    );
-    println!(
-        "coreset: {} of {} points ({:.1}x compression), eps_c {:.3e}, margin {:.3e}, \
-         tier footprint {} bytes",
-        coreset.len(),
-        n,
-        n as f64 / coreset.len() as f64,
-        coreset.eps_c(),
-        coreset.margin(),
-        cascade_eval.tier_footprint_bytes().unwrap_or(0),
-    );
-    println!(
-        "control: {control_qps:.0} queries/s\n\
-         cascade: {cascade_qps:.0} queries/s ({decided} of {} decided at tier 1 = {:.1}%, \
-         {fell} fell through) -> {:.2}x",
-        gridq.len(),
-        100.0 * decided_frac,
-        cascade_qps / control_qps,
-    );
-
     if let Ok(path) = std::env::var("KARL_BENCH_JSON") {
         let mut json = String::from("{\n");
         json.push_str("  \"bench\": \"throughput_batch\",\n");
@@ -381,64 +206,6 @@ fn main() {
                 if wi + 1 < all.len() { "," } else { "" }
             ));
         }
-        json.push_str("  },\n");
-        json.push_str("  \"dual_tkaq\": {\n");
-        json.push_str(&format!("    \"points\": {n},\n"));
-        json.push_str(&format!("    \"dims\": {dual_d},\n"));
-        json.push_str("    \"data_leaf\": 16,\n");
-        json.push_str(&format!("    \"gamma\": {dual_gamma},\n"));
-        json.push_str(&format!("    \"grid_side\": {side},\n"));
-        json.push_str(&format!("    \"queries\": {},\n", gridq.len()));
-        json.push_str(&format!("    \"tau\": {gtau},\n"));
-        json.push_str(&format!("    \"single_node_visits\": {single_visits},\n"));
-        json.push_str(&format!("    \"dual_node_visits\": {dual_visits},\n"));
-        json.push_str(&format!(
-            "    \"dual_pairs_scored\": {},\n",
-            dual_out.dual_pairs()
-        ));
-        json.push_str(&format!(
-            "    \"dual_wholesale_decided\": {},\n",
-            dual_out.dual_wholesale()
-        ));
-        json.push_str(&format!(
-            "    \"single_queries_per_s\": {single_qps:.1},\n"
-        ));
-        json.push_str(&format!("    \"dual_queries_per_s\": {dual_qps:.1}\n"));
-        json.push_str("  },\n");
-        json.push_str("  \"coreset_cascade\": {\n");
-        json.push_str(&format!("    \"points\": {n},\n"));
-        json.push_str(&format!("    \"dims\": {dual_d},\n"));
-        json.push_str(&format!("    \"quantized_lattice\": {cs_quant},\n"));
-        json.push_str(&format!("    \"grid_side\": {side},\n"));
-        json.push_str(&format!("    \"queries\": {},\n", gridq.len()));
-        json.push_str(&format!("    \"tau\": {cs_tau},\n"));
-        json.push_str(&format!("    \"coreset_target_eps\": {cs_eps},\n"));
-        json.push_str(&format!("    \"coreset_points\": {},\n", coreset.len()));
-        json.push_str(&format!(
-            "    \"compression\": {:.2},\n",
-            n as f64 / coreset.len() as f64
-        ));
-        json.push_str(&format!("    \"eps_c\": {:e},\n", coreset.eps_c()));
-        json.push_str(&format!("    \"margin\": {:e},\n", coreset.margin()));
-        json.push_str(&format!(
-            "    \"tier_footprint_bytes\": {},\n",
-            cascade_eval.tier_footprint_bytes().unwrap_or(0)
-        ));
-        json.push_str(&format!("    \"tier1_decided\": {decided},\n"));
-        json.push_str(&format!("    \"fell_through\": {fell},\n"));
-        json.push_str(&format!(
-            "    \"tier1_decided_fraction\": {decided_frac:.4},\n"
-        ));
-        json.push_str(&format!(
-            "    \"control_queries_per_s\": {control_qps:.1},\n"
-        ));
-        json.push_str(&format!(
-            "    \"cascade_queries_per_s\": {cascade_qps:.1},\n"
-        ));
-        json.push_str(&format!(
-            "    \"speedup_vs_control\": {:.3}\n",
-            cascade_qps / control_qps
-        ));
         json.push_str("  }\n}\n");
         std::fs::write(&path, json).expect("write KARL_BENCH_JSON");
         println!("\nwrote {path}");

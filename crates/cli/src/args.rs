@@ -2,7 +2,7 @@
 //!
 //! Supports `--key value`, `--key=value` and bare `--flag` switches, plus
 //! one leading positional subcommand, an optional positional action
-//! (`karl coreset build …`), and trailing operands (`karl index build
+//! (`karl index info …`), and trailing operands (`karl index build
 //! DATA OUT`). Unknown flags are an error (typos should not be silently
 //! ignored on a tool that runs long jobs); commands that take no action
 //! or operands reject them at dispatch.
@@ -16,7 +16,7 @@ use std::fmt;
 pub struct Parsed {
     /// The leading subcommand, if any.
     pub command: Option<String>,
-    /// The second positional (e.g. `build` in `karl coreset build`), if any.
+    /// The second positional (e.g. `build` in `karl index build`), if any.
     pub action: Option<String>,
     /// Positional operands after the action (e.g. the `DATA OUT` paths of
     /// `karl index build DATA OUT`). Commands that take none reject them
@@ -195,9 +195,9 @@ mod tests {
 
     #[test]
     fn action_positional_is_captured_and_operands_collected() {
-        let p = parse(&["coreset", "build", "--eps", "0.1"]).unwrap();
-        assert_eq!(p.command.as_deref(), Some("coreset"));
-        assert_eq!(p.action.as_deref(), Some("build"));
+        let p = parse(&["index", "info", "--eps", "0.1"]).unwrap();
+        assert_eq!(p.command.as_deref(), Some("index"));
+        assert_eq!(p.action.as_deref(), Some("info"));
         assert!(p.rest.is_empty());
         // Operands after the action land in `rest` in order (dispatch
         // rejects them for commands that take none).

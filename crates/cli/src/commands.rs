@@ -5,9 +5,9 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use karl_core::{
-    plan_for_storage, AnyEvaluator, BoundMethod, Budget, Coreset, Engine, IndexKind, IndexMeta,
-    Kernel, OfflineTuner, Query, QueryBatch, Scan, ServeConfig, Server, StatsSnapshot,
-    StorageCalibration, StorageProfile,
+    plan_for_storage, AnyEvaluator, BoundMethod, Budget, Engine, IndexKind, IndexMeta, Kernel,
+    OfflineTuner, Query, QueryBatch, Scan, ServeConfig, Server, StatsSnapshot, StorageCalibration,
+    StorageProfile,
 };
 use karl_data::{
     by_name, load_csv, load_labeled_csv, load_libsvm, registry, save_csv, LabelColumn,
@@ -180,13 +180,10 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         "gamma",
         "threads",
         "engine",
-        "envelope-cache",
         "stats",
         "budget-nodes",
         "budget-leaf",
         "deadline-ms",
-        "dual",
-        "coreset",
         "simd",
         "stats-json",
     ])
@@ -204,7 +201,7 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
     }
     let index_path = p.get("index");
     if index_path.is_some() {
-        for flag in ["data", "gamma", "method", "leaf", "coreset", "dual"] {
+        for flag in ["data", "gamma", "method", "leaf"] {
             if p.has(flag) {
                 return Err(format!(
                     "--{flag} conflicts with --index (kernel, method and leaf capacity are recorded in the index file)"
@@ -256,11 +253,6 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         Some("pointer") => Engine::Pointer,
         Some(other) => return Err(format!("unknown engine {other:?} (frozen|pointer)")),
     };
-    let env_cache = match p.get("envelope-cache") {
-        Some("on") => true,
-        None | Some("off") => false,
-        Some(other) => return Err(format!("unknown envelope-cache {other:?} (on|off)")),
-    };
     let want_stats = p.has("stats");
     #[cfg(not(feature = "stats"))]
     if want_stats {
@@ -292,11 +284,7 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         budget = budget.deadline(Duration::from_millis(ms));
     }
 
-    let coreset_eps: Option<f64> = p
-        .get_parsed("coreset", "a target eps")
-        .map_err(|e| e.to_string())?;
-
-    let (mut eval, gamma, method, leaf) = match (index_path, &data) {
+    let (eval, gamma, method, leaf) = match (index_path, &data) {
         (Some(path), _) => {
             if engine == Engine::Pointer {
                 return Err(
@@ -344,35 +332,14 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
     let n = eval.len();
     let mut spec = QueryBatch::new(&queries, query)
         .engine(engine)
-        .envelope_cache(env_cache)
         .budget(budget);
-    let coreset = match (coreset_eps, &data) {
-        (Some(ceps), Some(data)) => {
-            if ceps <= 0.0 {
-                return Err("--coreset must be positive".into());
-            }
-            let weights = vec![1.0 / n as f64; n];
-            let cs = Coreset::try_build(data, &weights, Kernel::gaussian(gamma), ceps)
-                .map_err(|e| e.to_string())?;
-            eval = eval.with_coreset_tier(&cs, leaf).map_err(|e| e.to_string())?;
-            spec = spec.coreset(true);
-            Some(cs)
-        }
-        _ => None,
-    };
     if let Some(t) = threads {
         if t == 0 {
             return Err("--threads must be at least 1".into());
         }
         spec = spec.threads(t);
     }
-    let dual = p.has("dual");
-    let report = if dual {
-        spec.try_run_dual_any(&eval)
-    } else {
-        spec.try_run_any(&eval)
-    }
-    .map_err(|e| e.to_string())?;
+    let report = spec.try_run_any(&eval).map_err(|e| e.to_string())?;
 
     let mut out = String::with_capacity(queries.len() * 8);
     let mut failed = 0usize;
@@ -395,28 +362,14 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
     }
     let _ = writeln!(
         out,
-        "# throughput {:.0} queries/s over {} points (gamma {:.4}, {:?}, leaf {leaf}, threads {}, engine {engine:?}, envelope-cache {}, simd {})",
+        "# throughput {:.0} queries/s over {} points (gamma {:.4}, {:?}, leaf {leaf}, threads {}, engine {engine:?}, simd {})",
         report.throughput(),
         n,
         gamma,
         method,
         report.threads(),
-        if env_cache { "on" } else { "off" },
         backend_name()
     );
-    if let Some(cs) = &coreset {
-        let _ = writeln!(
-            out,
-            "# coreset tier {} of {} points (eps_c {:.3e}, margin {:.3e}, footprint {} bytes): decided {} fell_through {}",
-            cs.len(),
-            n,
-            cs.eps_c(),
-            cs.margin(),
-            eval.tier_footprint_bytes().unwrap_or(0),
-            report.coreset_decided(),
-            report.coreset_fallthrough()
-        );
-    }
     let truncated = report.truncated_count();
     if truncated > 0 {
         let _ = writeln!(
@@ -458,17 +411,8 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         let s = report.stats();
         let _ = writeln!(
             out,
-            "# stats nodes_refined {} envelopes_built {} cache_hits {} cache_misses {} curve_value_calls {} dual_pairs_scored {} dual_wholesale_decided {} coreset_decided {} coreset_fallthrough {} simd_backend {}",
-            s.nodes_refined,
-            s.envelopes_built,
-            s.cache_hits,
-            s.cache_misses,
-            s.curve_value_calls,
-            s.dual_pairs_scored,
-            s.dual_wholesale_decided,
-            s.coreset_decided,
-            s.coreset_fallthrough,
-            s.simd_backend
+            "# stats nodes_refined {} envelopes_built {} curve_value_calls {} simd_backend {}",
+            s.nodes_refined, s.envelopes_built, s.curve_value_calls, s.simd_backend
         );
     }
     Ok(CmdOutput {
@@ -652,78 +596,6 @@ fn serve_tcp(server: &mut Server<'_>, addr: &str) -> Result<(), String> {
 fn serve_tcp(_server: &mut Server<'_>, _addr: &str) -> Result<(), String> {
     Err("--listen requires building karl-cli with the `net` feature (--stdio is always available)"
         .into())
-}
-
-/// `karl coreset build --data FILE --eps E [--gamma G] [--kernel rbf|laplacian] [--leaf CAP]`
-///
-/// Builds the certified coreset the `batch --coreset` cascade uses and
-/// reports its compression, the analytic certificate `eps_c`, the
-/// discrepancy actually measured against brute force on held-out probes
-/// (always ≤ the certified margin), and the frozen tier's memory
-/// footprint. Construction is deterministic, so `batch --coreset EPS`
-/// rebuilds the identical coreset inline — this verb exists to inspect
-/// the trade-off before committing a workload to it.
-pub fn coreset(p: &Parsed) -> CmdResult {
-    match p.action.as_deref() {
-        Some("build") => {}
-        Some(other) => return Err(format!("unknown coreset action {other:?} (build)")),
-        None => return Err("usage: karl coreset build --data FILE --eps E".into()),
-    }
-    p.expect_flags(&["data", "eps", "gamma", "kernel", "leaf"])
-        .map_err(|e| e.to_string())?;
-    let data =
-        load_csv(p.required("data").map_err(|e| e.to_string())?).map_err(|e| e.to_string())?;
-    let eps: f64 = p
-        .get_parsed("eps", "a number")
-        .map_err(|e| e.to_string())?
-        .ok_or("missing required flag --eps")?;
-    let gamma = gamma_for(p, &data)?;
-    let kernel = match p.get("kernel") {
-        None | Some("rbf") | Some("gaussian") => Kernel::gaussian(gamma),
-        Some("laplacian") => Kernel::laplacian(gamma),
-        Some(other) => {
-            return Err(format!(
-                "unknown kernel {other:?} (rbf|laplacian — polynomial/sigmoid have no uniform Lipschitz bound, so no certificate)"
-            ))
-        }
-    };
-    let leaf: usize = p
-        .get_or("leaf", 80, "a leaf capacity")
-        .map_err(|e| e.to_string())?;
-    let n = data.len();
-    let weights = vec![1.0 / n as f64; n];
-    let start = Instant::now();
-    let cs = Coreset::try_build(&data, &weights, kernel, eps).map_err(|e| e.to_string())?;
-    let elapsed = start.elapsed();
-    let eval = AnyEvaluator::build(IndexKind::Kd, &data, &weights, kernel, BoundMethod::Karl, leaf)
-        .with_coreset_tier(&cs, leaf)
-        .map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "coreset: {} of {} points ({:.1}x compression) built in {elapsed:.2?}",
-        cs.len(),
-        n,
-        n as f64 / cs.len() as f64
-    );
-    let _ = writeln!(out, "eps_c (certified, per unit |w|): {:.6e}", cs.eps_c());
-    let _ = writeln!(
-        out,
-        "margin (eps_c x sum |w|):        {:.6e}",
-        cs.margin()
-    );
-    let _ = writeln!(
-        out,
-        "measured over {} probes:         {:.6e} (must be <= margin)",
-        cs.probe_count(),
-        cs.eps_measured()
-    );
-    let _ = writeln!(
-        out,
-        "frozen tier footprint:           {} bytes (leaf {leaf})",
-        eval.tier_footprint_bytes().unwrap_or(0)
-    );
-    Ok(out)
 }
 
 /// `karl index build DATA OUT …` / `karl index info PATH`

@@ -8,7 +8,6 @@
 //! * `batch` — the same queries through the parallel batch engine.
 //! * `serve` — the online query daemon: newline-delimited JSON requests
 //!   with admission control, load shedding and graceful degradation.
-//! * `coreset` — build a certified coreset and report its error certificate.
 //! * `index` — build a persistent index file, inspect one, and serve
 //!   `batch --index` queries from it with zero-copy loading.
 //! * `svm-train` — train a C-SVC / one-class model, save LIBSVM format.
@@ -36,18 +35,11 @@ commands:
   batch     (--data FILE | --index FILE) --queries FILE
             (--tau T | --eps E | --tol W)
             [--method karl|sota] [--leaf CAP] [--gamma G] [--threads N]
-            [--engine frozen|pointer] [--envelope-cache on|off] [--stats]
+            [--engine frozen|pointer] [--stats]
             [--budget-nodes N] [--budget-leaf P] [--deadline-ms MS]
-            [--dual] [--coreset EPS] [--simd auto|avx2|scalar]
-            [--stats-json FILE]
+            [--simd auto|avx2|scalar] [--stats-json FILE]
             parallel batch engine; KARL_THREADS env sets the default N;
             frozen (default) is the SoA index, bitwise equal to pointer;
-            envelope-cache (default off) memoizes exact KARL envelopes,
-            paying off when queries repeat — a pure perf switch, answers
-            are bitwise identical either way;
-            --dual (default off) freezes a second tree over the queries
-            and decides whole query nodes at once from joint intervals
-            (TKAQ); answers are identical to the default engine;
             --stats prints run counters (needs the `stats` build feature);
             budget flags bound each query's refinement (nodes refined,
             leaf points scanned, wall-clock deadline) — queries that hit
@@ -61,12 +53,6 @@ commands:
             karl-stats-v1 JSON object — the same schema `karl serve`
             reports — with no timing fields, so identical runs write
             identical bytes;
-            --coreset EPS (default off) builds a certified coreset with
-            per-unit-weight error EPS and answers TKAQ/eKAQ on the small
-            tier first, widening by the certificate and falling through
-            to the full tree only when undecided — TKAQ decisions are
-            identical, eKAQ stays within the requested relative error,
-            Within bypasses the tier (bitwise identical);
             --simd (default auto; KARL_SIMD env sets the default) picks
             the kernel backend — explicit AVX2 vectors or portable
             scalar code — a pure perf switch, every backend produces
@@ -112,12 +98,6 @@ commands:
   index     info PATH
             print the header, decoded build metadata, and the per-section
             byte breakdown of an index file (validates the checksum)
-  coreset   build --data FILE --eps E [--gamma G]
-            [--kernel rbf|laplacian] [--leaf CAP]
-            build a certified coreset and report its size, analytic
-            certificate eps_c, the measured discrepancy on held-out
-            probes, and the frozen tier footprint (construction is
-            deterministic; `batch --coreset` rebuilds it inline)
   svm-train --data FILE --svm csvc|oneclass --out MODEL
             [--format csv-last|csv-first|libsvm] [--c C] [--nu NU]
             [--kernel rbf|poly|sigmoid|laplacian] [--gamma G]
@@ -157,20 +137,15 @@ impl CmdOutput {
 pub fn run_report(args: &[String]) -> Result<CmdOutput, String> {
     let parsed = Parsed::parse(args).map_err(|e| e.to_string())?;
     let command = parsed.command.as_deref();
+    // Only `index` takes positionals; operands always follow an action.
     if let Some(action) = parsed.action.as_deref() {
-        if !matches!(command, Some("coreset") | Some("index")) {
-            return Err(format!("unexpected argument {action:?}"));
-        }
-    }
-    if let Some(operand) = parsed.rest.first() {
         if command != Some("index") {
-            return Err(format!("unexpected argument {operand:?}"));
+            return Err(format!("unexpected argument {action:?}"));
         }
     }
     match command {
         Some("batch") => return commands::batch(&parsed),
         Some("serve") => return commands::serve(&parsed),
-        Some("coreset") => commands::coreset(&parsed),
         Some("index") => commands::index(&parsed),
         Some("datasets") => commands::datasets(&parsed),
         Some("generate") => commands::generate(&parsed),
@@ -214,6 +189,33 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         assert!(run_vec(&["frobnicate"]).is_err());
+        assert!(run_vec(&["coreset"])
+            .unwrap_err()
+            .contains("unknown command"));
+        assert!(run_vec(&["coreset", "build"]).is_err());
+        assert!(run_vec(&["datasets", "build"]).is_err());
+    }
+
+    #[test]
+    fn batch_rejects_unknown_flags() {
+        for extra in [
+            &["--dual"][..],
+            &["--coreset", "0.1"],
+            &["--envelope-cache", "on"],
+        ] {
+            let mut args = vec![
+                "batch",
+                "--data",
+                "d.csv",
+                "--queries",
+                "q.csv",
+                "--eps",
+                "0.1",
+            ];
+            args.extend_from_slice(extra);
+            let err = run_vec(&args).unwrap_err();
+            assert!(err.contains("unknown flag"), "{extra:?}: {err}");
+        }
     }
 
     #[test]
@@ -393,204 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_envelope_cache_flag_is_bitwise_neutral() {
-        let data = tmp("batch_envcache.csv");
-        run_vec(&[
-            "generate",
-            "--name",
-            "home",
-            "--n",
-            "400",
-            "--out",
-            data.to_str().unwrap(),
-        ])
-        .unwrap();
-        let run_cache = |setting: &str| {
-            run_vec(&[
-                "batch",
-                "--data",
-                data.to_str().unwrap(),
-                "--queries",
-                data.to_str().unwrap(),
-                "--eps",
-                "0.15",
-                "--threads",
-                "2",
-                "--envelope-cache",
-                setting,
-            ])
-            .unwrap()
-        };
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with('#'))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        let on = run_cache("on");
-        let off = run_cache("off");
-        assert_eq!(strip(&on), strip(&off));
-        assert!(on.contains("envelope-cache on"));
-        assert!(off.contains("envelope-cache off"));
-        let err = run_vec(&[
-            "batch",
-            "--data",
-            data.to_str().unwrap(),
-            "--queries",
-            data.to_str().unwrap(),
-            "--eps",
-            "0.15",
-            "--envelope-cache",
-            "maybe",
-        ])
-        .unwrap_err();
-        assert!(err.contains("on|off"));
-    }
-
-    #[test]
-    fn batch_dual_flag_output_is_byte_identical_to_default() {
-        let data = tmp("batch_dual.csv");
-        run_vec(&[
-            "generate",
-            "--name",
-            "home",
-            "--n",
-            "400",
-            "--out",
-            data.to_str().unwrap(),
-        ])
-        .unwrap();
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with('#'))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        // All three query types; --dual answer lines must match the
-        // default engine byte for byte ('#' diagnostics carry timings).
-        for spec in [["--tau", "0.3"], ["--eps", "0.15"], ["--tol", "0.05"]] {
-            let mut args = vec![
-                "batch",
-                "--data",
-                data.to_str().unwrap(),
-                "--queries",
-                data.to_str().unwrap(),
-                spec[0],
-                spec[1],
-                "--threads",
-                "2",
-            ];
-            let single = run_vec(&args).unwrap();
-            args.push("--dual");
-            let dual = run_vec(&args).unwrap();
-            assert_eq!(strip(&dual), strip(&single), "{spec:?}");
-        }
-    }
-
-    #[test]
-    fn coreset_build_reports_a_certificate() {
-        let data = tmp("coreset_build.csv");
-        run_vec(&[
-            "generate",
-            "--name",
-            "home",
-            "--n",
-            "600",
-            "--out",
-            data.to_str().unwrap(),
-        ])
-        .unwrap();
-        let out = run_vec(&[
-            "coreset",
-            "build",
-            "--data",
-            data.to_str().unwrap(),
-            "--eps",
-            "0.05",
-        ])
-        .unwrap();
-        for needle in ["compression", "eps_c", "margin", "probes", "footprint"] {
-            assert!(out.contains(needle), "missing {needle} in:\n{out}");
-        }
-        // Unsupported kernels are rejected with the Lipschitz explanation.
-        let err = run_vec(&[
-            "coreset",
-            "build",
-            "--data",
-            data.to_str().unwrap(),
-            "--eps",
-            "0.05",
-            "--kernel",
-            "poly",
-        ])
-        .unwrap_err();
-        assert!(err.contains("Lipschitz"));
-        // A bare `karl coreset` explains itself; stray actions on other
-        // commands are rejected.
-        assert!(run_vec(&["coreset"]).unwrap_err().contains("coreset build"));
-        assert!(run_vec(&["datasets", "build"]).is_err());
-    }
-
-    #[test]
-    fn batch_coreset_flag_keeps_decisions_and_reports_the_tier() {
-        let data = tmp("batch_coreset.csv");
-        run_vec(&[
-            "generate",
-            "--name",
-            "home",
-            "--n",
-            "500",
-            "--out",
-            data.to_str().unwrap(),
-        ])
-        .unwrap();
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with('#'))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        // TKAQ decisions and Within answers must be byte-identical with the
-        // cascade on; every TKAQ query is accounted to exactly one tier.
-        for spec in [["--tau", "0.05"], ["--tol", "0.05"]] {
-            let mut args = vec![
-                "batch",
-                "--data",
-                data.to_str().unwrap(),
-                "--queries",
-                data.to_str().unwrap(),
-                spec[0],
-                spec[1],
-                "--threads",
-                "2",
-            ];
-            let plain = run_vec(&args).unwrap();
-            args.extend_from_slice(&["--coreset", "0.02"]);
-            let cascade = run_vec(&args).unwrap();
-            assert_eq!(strip(&cascade), strip(&plain), "{spec:?}");
-            let line = cascade
-                .lines()
-                .find(|l| l.starts_with("# coreset"))
-                .expect("coreset summary line");
-            assert!(line.contains("decided") && line.contains("fell_through"));
-        }
-        // Zero eps is rejected up front.
-        assert!(run_vec(&[
-            "batch",
-            "--data",
-            data.to_str().unwrap(),
-            "--queries",
-            data.to_str().unwrap(),
-            "--tau",
-            "0.05",
-            "--coreset",
-            "0",
-        ])
-        .unwrap_err()
-        .contains("--coreset"));
-    }
-
-    #[test]
     fn batch_stats_flag_depends_on_the_feature() {
         let data = tmp("batch_stats.csv");
         run_vec(&[
@@ -620,15 +424,7 @@ mod tests {
                 .lines()
                 .find(|l| l.starts_with("# stats"))
                 .expect("stats line");
-            for field in [
-                "nodes_refined",
-                "envelopes_built",
-                "cache_hits",
-                "cache_misses",
-                "curve_value_calls",
-                "coreset_decided",
-                "coreset_fallthrough",
-            ] {
+            for field in ["nodes_refined", "envelopes_built", "curve_value_calls"] {
                 assert!(stats_line.contains(field), "missing {field}");
             }
         }

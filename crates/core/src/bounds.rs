@@ -8,15 +8,13 @@
 //! Section IV-A2).
 
 use karl_geom::{
-    ball_ball_dist, ball_ball_dist_nodes, ball_ball_ip, ball_ball_ip_nodes, ball_dist,
-    ball_dist_nodes, ball_ip, ball_ip_nodes, norm2, rect_dist, rect_dist_nodes, rect_ip,
-    rect_ip_nodes, rect_rect_dist, rect_rect_dist_nodes, rect_rect_ip, rect_rect_ip_nodes,
-    BallQueryNode, BoundingShape, RectQueryNode,
+    ball_dist, ball_dist_nodes, ball_ip, ball_ip_nodes, norm2, rect_dist, rect_dist_nodes, rect_ip,
+    rect_ip_nodes, BoundingShape,
 };
 use karl_tree::{FrozenShapes, FrozenTree, NodeId, NodeStats};
 
 use crate::curve::Curve;
-use crate::envelope::{envelope_parts, EnvelopeCache, EnvelopeParts};
+use crate::envelope::{envelope_parts, EnvelopeParts};
 use crate::kernel::Kernel;
 
 /// Which per-node bound functions the evaluator uses.
@@ -440,530 +438,22 @@ pub fn node_intervals_frozen(
     }
 }
 
-/// Pass 2: one [`NodeInterval`] into its `[LB, UB]` pair, optionally
-/// through the envelope memoization.
-///
-/// With `use_cache` the KARL envelope comes from
-/// [`EnvelopeCache::get_or_build`]; keys are exact bit patterns, so the
-/// result is bitwise identical to the direct construction regardless of
-/// hit or miss. SOTA never builds envelopes and ignores the cache.
+/// Pass 2: one [`NodeInterval`] into its `[LB, UB]` pair, through the same
+/// [`assemble`] the pointer path uses.
 #[inline]
-pub fn assemble_interval(
-    method: BoundMethod,
-    curve: Curve,
-    iv: &NodeInterval,
-    cache: &mut EnvelopeCache,
-    use_cache: bool,
-) -> BoundPair {
-    let w = iv.w;
-    if w <= 0.0 {
+pub fn assemble_interval(method: BoundMethod, curve: Curve, iv: &NodeInterval) -> BoundPair {
+    if iv.w <= 0.0 {
         // A node of all-zero weights contributes nothing either way.
         return BoundPair { lb: 0.0, ub: 0.0 };
     }
-    match method {
-        BoundMethod::Sota => sota_pair(w, curve.range(iv.lo, iv.hi)),
-        BoundMethod::Karl => {
-            let xbar = iv.x_agg / w;
-            let parts = if use_cache {
-                cache.get_or_build(curve, iv.lo, iv.hi, xbar)
-            } else {
-                envelope_parts(curve, iv.lo, iv.hi, xbar)
-            };
-            finish_karl(&parts, w, iv.x_agg)
-        }
-    }
+    assemble(method, curve, iv.w, iv.lo, iv.hi, iv.x_agg)
 }
 
 /// Computes the `[LB, UB]` pair for one frozen-tree node — the fused
 /// counterpart of [`node_bounds`], composed from the two frontier passes
-/// ([`node_interval_frozen`] then [`assemble_interval`] without a cache).
+/// ([`node_interval_frozen`] then [`assemble_interval`]).
 pub fn node_bounds_frozen(ctx: &QueryContext<'_>, tree: &FrozenTree, id: NodeId) -> BoundPair {
-    let iv = node_interval_frozen(ctx, tree, id);
-    let w = iv.w;
-    if w <= 0.0 {
-        return BoundPair { lb: 0.0, ub: 0.0 };
-    }
-    assemble(ctx.method, ctx.curve, w, iv.lo, iv.hi, iv.x_agg)
-}
-
-// ---------------------------------------------------------------------------
-// Dual-tree pair bounds: one certified interval per query-node × data-node
-// ---------------------------------------------------------------------------
-
-/// The query-side region a dual-tree pair bound quantifies over: the
-/// bounding volume of a query-tree node, in the same shape family as the
-/// data tree it is probed against.
-#[derive(Debug, Clone)]
-pub enum QueryRegion<'a> {
-    /// Axis-aligned MBR `[lo, hi]` enclosing the node's queries.
-    Rect {
-        /// Lower corner.
-        lo: &'a [f64],
-        /// Upper corner.
-        hi: &'a [f64],
-    },
-    /// Bounding ball enclosing the node's queries.
-    Ball {
-        /// Center of the ball.
-        center: &'a [f64],
-        /// Radius of the ball.
-        radius: f64,
-    },
-}
-
-/// Hoisted query-node constants, family-dispatched once per query node.
-enum QuerySide<'a> {
-    Rect(RectQueryNode<'a>),
-    Ball(BallQueryNode<'a>),
-}
-
-/// Per-query-node invariants of dual-tree bound evaluation — the
-/// node-level analogue of [`QueryContext`]: the query region with its
-/// query-constant terms hoisted (corner squares, center norms), the
-/// scalar curve, the kernel constants and the bound method. Built once
-/// per query node; every data-node pair probe then reuses it.
-pub struct DualQueryContext<'a> {
-    side: QuerySide<'a>,
-    curve: Curve,
-    method: BoundMethod,
-    mode: XMode,
-    karl: bool,
-}
-
-impl<'a> DualQueryContext<'a> {
-    /// Precomputes the per-query-node invariants for `region` under
-    /// `kernel` and `method`.
-    pub fn new(kernel: &Kernel, method: BoundMethod, region: QueryRegion<'a>) -> Self {
-        let mode = match *kernel {
-            Kernel::Gaussian { gamma } => XMode::Dist { scale: gamma },
-            Kernel::Laplacian { gamma } => XMode::Dist {
-                scale: gamma * gamma,
-            },
-            Kernel::Polynomial { gamma, coef0, .. } | Kernel::Sigmoid { gamma, coef0 } => {
-                XMode::Ip { gamma, coef0 }
-            }
-        };
-        let side = match region {
-            QueryRegion::Rect { lo, hi } => QuerySide::Rect(RectQueryNode::new(lo, hi)),
-            QueryRegion::Ball { center, radius } => {
-                QuerySide::Ball(BallQueryNode::new(center, radius))
-            }
-        };
-        Self {
-            side,
-            curve: kernel.curve(),
-            method,
-            mode,
-            karl: method == BoundMethod::Karl,
-        }
-    }
-
-    /// Builds the context for node `id` of a frozen *query* tree: the
-    /// node's bounding volume becomes the [`QueryRegion`].
-    pub fn from_frozen(
-        kernel: &Kernel,
-        method: BoundMethod,
-        qtree: &'a FrozenTree,
-        id: NodeId,
-    ) -> Self {
-        let d = qtree.dims();
-        let s = id as usize * d;
-        let region = match qtree.shapes() {
-            FrozenShapes::Rect { lo, hi } => QueryRegion::Rect {
-                lo: &lo[s..s + d],
-                hi: &hi[s..s + d],
-            },
-            FrozenShapes::Ball { center, radius } => QueryRegion::Ball {
-                center: &center[s..s + d],
-                radius: radius[id as usize],
-            },
-        };
-        Self::new(kernel, method, region)
-    }
-
-    /// The bound method the context assembles with.
-    #[inline]
-    pub fn method(&self) -> BoundMethod {
-        self.method
-    }
-
-    /// The kernel's scalar curve.
-    #[inline]
-    pub fn curve(&self) -> Curve {
-        self.curve
-    }
-}
-
-/// The dual geometry pass's per-pair record: the scalar curve interval
-/// `[lo, hi]` valid for every `(q, p)` in query-region × data-node, and
-/// the aggregate interval `[x_lo, x_hi]` enclosing `X_R(q)` for every `q`
-/// in the query region. [`assemble_pair`] turns it into a [`BoundPair`]
-/// certified for the whole query node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairInterval {
-    /// The data-tree node this record describes.
-    pub node: NodeId,
-    /// `W_R = Σ wᵢ` of the data node.
-    pub w: f64,
-    /// Lower end of the pair's scalar curve interval.
-    pub lo: f64,
-    /// Upper end of the pair's scalar curve interval.
-    pub hi: f64,
-    /// Lower end of the aggregate interval (0 under SOTA).
-    pub x_lo: f64,
-    /// Upper end of the aggregate interval (0 under SOTA).
-    pub x_hi: f64,
-}
-
-/// Aggregate-interval algebra shared by the single and batched ball-dist
-/// pair paths: bounds `g(q) = W‖q‖² − 2·q·a` over the query ball from the
-/// fused reductions, via `g(q) = (‖W·q − a‖² − ‖a‖²)/W` and the triangle
-/// inequality on `‖W·q − a‖` around the query center.
-#[inline]
-fn ball_dist_agg(qnode: &BallQueryNode<'_>, w: f64, qa: f64, aa: f64) -> (f64, f64) {
-    let v0 = (w * w * qnode.norm2() - 2.0 * w * qa + aa).max(0.0).sqrt();
-    let wr = w * qnode.radius();
-    let tn = (v0 - wr).max(0.0);
-    let tx = v0 + wr;
-    ((tn * tn - aa) / w, (tx * tx - aa) / w)
-}
-
-/// The dual pass for a single data node: one fused pair probe yields the
-/// pair's scalar interval and (for KARL) the aggregate interval together.
-/// Panics if the query region's shape family differs from the data
-/// tree's — the dual descent always freezes both trees in one family.
-pub fn pair_interval_frozen(
-    ctx: &DualQueryContext<'_>,
-    tree: &FrozenTree,
-    id: NodeId,
-) -> PairInterval {
-    let w = tree.weight_sum(id);
-    if w <= 0.0 {
-        // A node of all-zero weights contributes nothing either way.
-        return PairInterval {
-            node: id,
-            w,
-            lo: 0.0,
-            hi: 0.0,
-            x_lo: 0.0,
-            x_hi: 0.0,
-        };
-    }
-    let d = tree.dims();
-    let s = id as usize * d;
-    let a = tree.weighted_sum(id);
-    let (lo, hi, x_lo, x_hi) = match (&ctx.side, tree.shapes(), ctx.mode) {
-        (QuerySide::Rect(qn), FrozenShapes::Rect { lo, hi }, XMode::Dist { scale }) => {
-            let (lo, hi) = (&lo[s..s + d], &hi[s..s + d]);
-            let (mn, mx, gn, gx) = if ctx.karl {
-                rect_rect_dist::<true>(qn, lo, hi, a, w)
-            } else {
-                rect_rect_dist::<false>(qn, lo, hi, &[], 0.0)
-            };
-            let b = tree.weighted_norm2(id);
-            let (x_lo, x_hi) = if ctx.karl {
-                (scale * (gn + b), scale * (gx + b))
-            } else {
-                (0.0, 0.0)
-            };
-            (scale * mn, scale * mx, x_lo, x_hi)
-        }
-        (QuerySide::Rect(qn), FrozenShapes::Rect { lo, hi }, XMode::Ip { gamma, coef0 }) => {
-            let (lo, hi) = (&lo[s..s + d], &hi[s..s + d]);
-            let (mn, mx, an, ax) = if ctx.karl {
-                rect_rect_ip::<true>(qn, lo, hi, a)
-            } else {
-                rect_rect_ip::<false>(qn, lo, hi, &[])
-            };
-            let (x_lo, x_hi) = if ctx.karl {
-                (gamma * an + coef0 * w, gamma * ax + coef0 * w)
-            } else {
-                (0.0, 0.0)
-            };
-            (gamma * mn + coef0, gamma * mx + coef0, x_lo, x_hi)
-        }
-        (QuerySide::Ball(qn), FrozenShapes::Ball { center, radius }, XMode::Dist { scale }) => {
-            let c = &center[s..s + d];
-            let r = radius[id as usize];
-            let (d2c, qa, aa) = if ctx.karl {
-                ball_ball_dist::<true>(qn, c, a)
-            } else {
-                ball_ball_dist::<false>(qn, c, &[])
-            };
-            let dc = d2c.sqrt();
-            let mn = (dc - r - qn.radius()).max(0.0);
-            let mx = dc + r + qn.radius();
-            let (x_lo, x_hi) = if ctx.karl {
-                let (gn, gx) = ball_dist_agg(qn, w, qa, aa);
-                let b = tree.weighted_norm2(id);
-                (scale * (gn + b), scale * (gx + b))
-            } else {
-                (0.0, 0.0)
-            };
-            (scale * (mn * mn), scale * (mx * mx), x_lo, x_hi)
-        }
-        (QuerySide::Ball(qn), FrozenShapes::Ball { center, radius }, XMode::Ip { gamma, coef0 }) => {
-            let c = &center[s..s + d];
-            let r = radius[id as usize];
-            let (qc, cc, qa, aa) = if ctx.karl {
-                ball_ball_ip::<true>(qn, c, a)
-            } else {
-                ball_ball_ip::<false>(qn, c, &[])
-            };
-            let pad = qn.radius() * cc.sqrt() + r * qn.norm() + qn.radius() * r;
-            let (x_lo, x_hi) = if ctx.karl {
-                let ra = qn.radius() * aa.sqrt();
-                (
-                    gamma * (qa - ra) + coef0 * w,
-                    gamma * (qa + ra) + coef0 * w,
-                )
-            } else {
-                (0.0, 0.0)
-            };
-            (
-                gamma * (qc - pad) + coef0,
-                gamma * (qc + pad) + coef0,
-                x_lo,
-                x_hi,
-            )
-        }
-        _ => panic!("dual-tree pair bounds need matching query/data shape families"),
-    };
-    PairInterval {
-        node: id,
-        w,
-        lo,
-        hi,
-        x_lo,
-        x_hi,
-    }
-}
-
-/// The dual pass for a gathered list of data nodes: resolves the
-/// `(region, shapes, mode)` dispatch once, then streams the batched pair
-/// kernels over `ids`, appending one [`PairInterval`] per id to `out`
-/// (cleared first) in order. Each per-node probe is the same scalar
-/// kernel as [`pair_interval_frozen`], with the query-constant terms
-/// hoisted out of the node loop.
-pub fn pair_intervals_frozen(
-    ctx: &DualQueryContext<'_>,
-    tree: &FrozenTree,
-    ids: &[NodeId],
-    out: &mut Vec<PairInterval>,
-) {
-    out.clear();
-    out.reserve(ids.len());
-    let a = tree.weighted_sums();
-    let ws = tree.weight_sums();
-    let karl = ctx.karl;
-    let mut k = 0usize;
-    match (&ctx.side, tree.shapes(), ctx.mode) {
-        (QuerySide::Rect(qn), FrozenShapes::Rect { lo, hi }, XMode::Dist { scale }) => {
-            let mut emit = |mn: f64, mx: f64, gn: f64, gx: f64| {
-                let id = ids[k];
-                k += 1;
-                let w = tree.weight_sum(id);
-                let (x_lo, x_hi) = if karl {
-                    let b = tree.weighted_norm2(id);
-                    (scale * (gn + b), scale * (gx + b))
-                } else {
-                    (0.0, 0.0)
-                };
-                out.push(PairInterval {
-                    node: id,
-                    w,
-                    lo: scale * mn,
-                    hi: scale * mx,
-                    x_lo,
-                    x_hi,
-                });
-            };
-            if karl {
-                rect_rect_dist_nodes::<true, _>(qn, lo, hi, a, ws, ids, &mut emit);
-            } else {
-                rect_rect_dist_nodes::<false, _>(qn, lo, hi, &[], ws, ids, &mut emit);
-            }
-        }
-        (QuerySide::Rect(qn), FrozenShapes::Rect { lo, hi }, XMode::Ip { gamma, coef0 }) => {
-            let mut emit = |mn: f64, mx: f64, an: f64, ax: f64| {
-                let id = ids[k];
-                k += 1;
-                let w = tree.weight_sum(id);
-                let (x_lo, x_hi) = if karl {
-                    (gamma * an + coef0 * w, gamma * ax + coef0 * w)
-                } else {
-                    (0.0, 0.0)
-                };
-                out.push(PairInterval {
-                    node: id,
-                    w,
-                    lo: gamma * mn + coef0,
-                    hi: gamma * mx + coef0,
-                    x_lo,
-                    x_hi,
-                });
-            };
-            if karl {
-                rect_rect_ip_nodes::<true, _>(qn, lo, hi, a, ids, &mut emit);
-            } else {
-                rect_rect_ip_nodes::<false, _>(qn, lo, hi, &[], ids, &mut emit);
-            }
-        }
-        (QuerySide::Ball(qn), FrozenShapes::Ball { center, radius }, XMode::Dist { scale }) => {
-            let mut emit = |d2c: f64, qa: f64, aa: f64| {
-                let id = ids[k];
-                k += 1;
-                let w = tree.weight_sum(id);
-                let r = radius[id as usize];
-                let dc = d2c.sqrt();
-                let mn = (dc - r - qn.radius()).max(0.0);
-                let mx = dc + r + qn.radius();
-                let (x_lo, x_hi) = if karl {
-                    let (gn, gx) = ball_dist_agg(qn, w, qa, aa);
-                    let b = tree.weighted_norm2(id);
-                    (scale * (gn + b), scale * (gx + b))
-                } else {
-                    (0.0, 0.0)
-                };
-                out.push(PairInterval {
-                    node: id,
-                    w,
-                    lo: scale * (mn * mn),
-                    hi: scale * (mx * mx),
-                    x_lo,
-                    x_hi,
-                });
-            };
-            if karl {
-                ball_ball_dist_nodes::<true, _>(qn, center, a, ids, &mut emit);
-            } else {
-                ball_ball_dist_nodes::<false, _>(qn, center, &[], ids, &mut emit);
-            }
-        }
-        (QuerySide::Ball(qn), FrozenShapes::Ball { center, radius }, XMode::Ip { gamma, coef0 }) => {
-            let mut emit = |qc: f64, cc: f64, qa: f64, aa: f64| {
-                let id = ids[k];
-                k += 1;
-                let w = tree.weight_sum(id);
-                let r = radius[id as usize];
-                let pad = qn.radius() * cc.sqrt() + r * qn.norm() + qn.radius() * r;
-                let (x_lo, x_hi) = if karl {
-                    let ra = qn.radius() * aa.sqrt();
-                    (gamma * (qa - ra) + coef0 * w, gamma * (qa + ra) + coef0 * w)
-                } else {
-                    (0.0, 0.0)
-                };
-                out.push(PairInterval {
-                    node: id,
-                    w,
-                    lo: gamma * (qc - pad) + coef0,
-                    hi: gamma * (qc + pad) + coef0,
-                    x_lo,
-                    x_hi,
-                });
-            };
-            if karl {
-                ball_ball_ip_nodes::<true, _>(qn, center, a, ids, &mut emit);
-            } else {
-                ball_ball_ip_nodes::<false, _>(qn, center, &[], ids, &mut emit);
-            }
-        }
-        _ => panic!("dual-tree pair bounds need matching query/data shape families"),
-    }
-    // Zero-weight nodes skip the emit-side math but still occupy a slot
-    // in the batched pass; normalize them to the canonical zero record.
-    for pi in out.iter_mut() {
-        if pi.w <= 0.0 {
-            *pi = PairInterval {
-                node: pi.node,
-                w: pi.w,
-                lo: 0.0,
-                hi: 0.0,
-                x_lo: 0.0,
-                x_hi: 0.0,
-            };
-        }
-    }
-}
-
-/// The pair analogue of [`finish_karl`]: the envelope lines hold for the
-/// whole pair interval, so the worst case over `X ∈ [x_lo, x_hi]` of each
-/// line — picked by the slope's sign — bounds every query in the node.
-/// Clamp and overflow saturation mirror `finish_karl` exactly.
-#[inline]
-fn finish_karl_pair(parts: &EnvelopeParts, w: f64, x_lo: f64, x_hi: f64) -> BoundPair {
-    let sota_lb = w * parts.fmin;
-    let sota_ub = w * parts.fmax;
-    let lower = parts.env.lower;
-    let upper = parts.env.upper;
-    let lb = if lower.m >= 0.0 {
-        lower.m * x_lo
-    } else {
-        lower.m * x_hi
-    } + lower.c * w;
-    let ub = if upper.m >= 0.0 {
-        upper.m * x_hi
-    } else {
-        upper.m * x_lo
-    } + upper.c * w;
-    let out = BoundPair {
-        lb: lb.max(sota_lb),
-        ub: ub.min(sota_ub),
-    };
-    if out.lb.is_finite() && out.ub.is_finite() {
-        return out;
-    }
-    let sota_lb = sota_lb.clamp(-f64::MAX, f64::MAX);
-    let sota_ub = sota_ub.clamp(-f64::MAX, f64::MAX);
-    BoundPair {
-        lb: if lb.is_finite() { lb.max(sota_lb) } else { sota_lb },
-        ub: if ub.is_finite() { ub.min(sota_ub) } else { sota_ub },
-    }
-}
-
-/// Turns one [`PairInterval`] into a `[LB, UB]` pair certified for
-/// **every** query in the query region: `LB ≤ Σᵢ wᵢ·K(q, pᵢ) ≤ UB` for
-/// all `q` in the region, the sum over the data node's points.
-///
-/// Soundness: the envelope is built over the pair's scalar interval, so
-/// its lines bound the curve for every `(q, p)` the pair can produce; the
-/// anchor `x̄` (the aggregate-interval midpoint) only shapes tightness,
-/// never validity. Evaluating each line at its worst end of
-/// `[x_lo, x_hi]` then minimizes/maximizes `m·X(q) + c·W` over every
-/// admissible aggregate, and the constant `W·[fmin, fmax]` clamp is
-/// query-independent.
-pub fn assemble_pair(method: BoundMethod, curve: Curve, pi: &PairInterval) -> BoundPair {
-    let w = pi.w;
-    if w <= 0.0 {
-        return BoundPair { lb: 0.0, ub: 0.0 };
-    }
-    match method {
-        BoundMethod::Sota => sota_pair(w, curve.range(pi.lo, pi.hi)),
-        BoundMethod::Karl => {
-            let xbar = 0.5 * (pi.x_lo + pi.x_hi) / w;
-            finish_karl_pair(
-                &envelope_parts(curve, pi.lo, pi.hi, xbar),
-                w,
-                pi.x_lo,
-                pi.x_hi,
-            )
-        }
-    }
-}
-
-/// Computes the certified `[LB, UB]` pair for one query-region ×
-/// data-node pair — [`pair_interval_frozen`] composed with
-/// [`assemble_pair`].
-pub fn pair_bounds_frozen(
-    ctx: &DualQueryContext<'_>,
-    tree: &FrozenTree,
-    id: NodeId,
-) -> BoundPair {
-    assemble_pair(
-        ctx.method,
-        ctx.curve,
-        &pair_interval_frozen(ctx, tree, id),
-    )
+    assemble_interval(ctx.method, ctx.curve, &node_interval_frozen(ctx, tree, id))
 }
 
 #[cfg(test)]
@@ -1067,7 +557,7 @@ mod tests {
     fn frontier_passes_bitwise_match_single_node_path() {
         // Over every node of both tree families and every kernel ×
         // method: the batched pass-1 records and the pass-2 assembly
-        // (cache on and off) must reproduce `node_bounds_frozen` exactly.
+        // must reproduce `node_bounds_frozen` exactly.
         let ps = random_points(150, 3, 77);
         // Mixed-sign weights with a few zeros so the zero-weight arm is hit.
         let w: Vec<f64> = (0..150)
@@ -1090,7 +580,6 @@ mod tests {
                     let mut records = Vec::new();
                     node_intervals_frozen(&ctx, tree, &ids, &mut records);
                     assert_eq!(records.len(), ids.len());
-                    let mut cache = EnvelopeCache::new();
                     for (iv, &id) in records.iter().zip(&ids) {
                         assert_eq!(iv.node, id);
                         let single = node_interval_frozen(&ctx, tree, id);
@@ -1098,15 +587,8 @@ mod tests {
                             assert_eq!(*iv, single, "{kernel:?}/{method:?} node {id}");
                         }
                         let want = node_bounds_frozen(&ctx, tree, id);
-                        let direct =
-                            assemble_interval(method, ctx.curve, iv, &mut cache, false);
-                        let cached =
-                            assemble_interval(method, ctx.curve, iv, &mut cache, true);
-                        let recached =
-                            assemble_interval(method, ctx.curve, iv, &mut cache, true);
+                        let direct = assemble_interval(method, ctx.curve, iv);
                         assert_eq!(direct, want, "{kernel:?}/{method:?} node {id}");
-                        assert_eq!(cached, want, "{kernel:?}/{method:?} node {id} (miss)");
-                        assert_eq!(recached, want, "{kernel:?}/{method:?} node {id} (hit)");
                     }
                 }
             }
@@ -1189,111 +671,6 @@ mod tests {
             prop_assert!(karl.lb <= exact + tol && exact <= karl.ub + tol);
             prop_assert!(karl.lb + tol >= sota.lb);
             prop_assert!(karl.ub <= sota.ub + tol);
-        }
-    }
-
-    /// Dual-tree pair bounds: for every data node and every query sampled
-    /// inside the query region, the certified pair interval must bracket
-    /// the exact node aggregate — both methods, both families, every
-    /// kernel. The batched pass must match the single-pair pass bitwise.
-    fn check_pair_family<S: karl_tree::NodeShape>(region: QueryRegion<'_>, queries: &[Vec<f64>]) {
-        let ps = random_points(160, 3, 7);
-        let w: Vec<f64> = (0..160).map(|i| 0.2 + (i % 5) as f64 * 0.3).collect();
-        let (tree, frozen) = karl_tree::freeze_built::<S>(ps.clone(), &w, 6);
-        for kernel in kernels() {
-            for method in [BoundMethod::Sota, BoundMethod::Karl] {
-                let ctx = DualQueryContext::new(&kernel, method, region.clone());
-                let ids: Vec<NodeId> = (0..frozen.num_nodes() as NodeId).collect();
-                let mut batched = Vec::new();
-                pair_intervals_frozen(&ctx, &frozen, &ids, &mut batched);
-                for &id in &ids {
-                    let pi = pair_interval_frozen(&ctx, &frozen, id);
-                    assert_eq!(batched[id as usize], pi, "batched pair mismatch at {id}");
-                    let b = assemble_pair(method, kernel.curve(), &pi);
-                    assert_eq!(
-                        pair_bounds_frozen(&ctx, &frozen, id),
-                        b,
-                        "pair_bounds_frozen composition"
-                    );
-                    let (start, end) = frozen.range(id);
-                    for q in queries {
-                        let exact = kernel.eval_range(
-                            tree.points(),
-                            tree.weights(),
-                            tree.norms2(),
-                            start,
-                            end,
-                            q,
-                            norm2(q),
-                        );
-                        let tol = 1e-7 * (1.0 + exact.abs());
-                        assert!(
-                            b.lb <= exact + tol && exact <= b.ub + tol,
-                            "{kernel:?} {method:?} node {id}: [{}, {}] misses {exact}",
-                            b.lb,
-                            b.ub
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pair_bounds_bracket_every_query_in_the_region() {
-        let qlo = [-1.0, -0.5, 0.0];
-        let qhi = [0.5, 0.75, 1.25];
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut queries: Vec<Vec<f64>> = (0..12)
-            .map(|_| {
-                (0..3)
-                    .map(|j| rng.random_range(qlo[j]..qhi[j]))
-                    .collect::<Vec<f64>>()
-            })
-            .collect();
-        queries.push(qlo.to_vec());
-        queries.push(qhi.to_vec());
-        check_pair_family::<Rect>(QueryRegion::Rect { lo: &qlo, hi: &qhi }, &queries);
-        // A ball region concentric with the MBR and large enough to
-        // enclose it covers the same sampled queries.
-        let qcenter = [-0.25, 0.125, 0.625];
-        let qradius = norm2(&[0.75, 0.625, 0.625]).sqrt() + 1e-12;
-        check_pair_family::<Ball>(
-            QueryRegion::Ball {
-                center: &qcenter,
-                radius: qradius,
-            },
-            &queries,
-        );
-    }
-
-    /// A zero-volume query region holding a single query point must agree
-    /// with the per-query frozen bounds (up to reduction rounding).
-    #[test]
-    fn degenerate_pair_region_matches_per_query_bounds() {
-        let ps = random_points(120, 3, 11);
-        let w: Vec<f64> = (0..120).map(|i| 0.3 + (i % 3) as f64 * 0.5).collect();
-        let (_, frozen) = karl_tree::freeze_built::<Rect>(ps, &w, 5);
-        let q = [0.3, -0.8, 1.1];
-        for kernel in kernels() {
-            for method in [BoundMethod::Sota, BoundMethod::Karl] {
-                let qctx = QueryContext::new(&kernel, method, &q);
-                let dctx =
-                    DualQueryContext::new(&kernel, method, QueryRegion::Rect { lo: &q, hi: &q });
-                for id in 0..frozen.num_nodes() as NodeId {
-                    let single = node_bounds_frozen(&qctx, &frozen, id);
-                    let pair = pair_bounds_frozen(&dctx, &frozen, id);
-                    let tol = 1e-9 * (1.0 + single.lb.abs().max(single.ub.abs()));
-                    assert!(
-                        (pair.lb - single.lb).abs() <= tol && (pair.ub - single.ub).abs() <= tol,
-                        "{kernel:?} {method:?} node {id}: pair [{}, {}] vs single [{}, {}]",
-                        pair.lb,
-                        pair.ub,
-                        single.lb,
-                        single.ub
-                    );
-                }
-            }
         }
     }
 }

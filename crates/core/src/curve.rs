@@ -58,8 +58,8 @@ pub mod stats {
     //! Thread-local instrumentation of curve evaluations (behind the
     //! `stats` feature). [`Curve::value`](super::Curve::value) is the
     //! transcendental workhorse of envelope construction, so its call
-    //! count is the direct measure of what the envelope memoization and
-    //! the shared-endpoint refactor save.
+    //! count is the direct measure of what the shared-endpoint envelope
+    //! builder saves.
 
     use std::cell::Cell;
 

@@ -52,8 +52,8 @@ pub struct Envelope {
 
 /// An [`Envelope`] together with the exact curve range on the same
 /// interval — everything per-node bound assembly needs, so one envelope
-/// construction (or one cache hit) serves both the linear bounds and the
-/// SOTA clamp without re-evaluating the curve.
+/// construction serves both the linear bounds and the SOTA clamp without
+/// re-evaluating the curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnvelopeParts {
     /// The bounding lines.
@@ -67,9 +67,7 @@ pub struct EnvelopeParts {
 #[cfg(feature = "stats")]
 pub mod stats {
     //! Thread-local count of envelope constructions (behind the `stats`
-    //! feature). A cache hit skips [`envelope_parts`](super::envelope_parts)
-    //! entirely, so `envelopes_built` vs cache hits/misses quantifies the
-    //! memoization directly.
+    //! feature): one per [`envelope_parts`](super::envelope_parts) call.
 
     use std::cell::Cell;
 
@@ -392,257 +390,6 @@ pub fn envelope(curve: Curve, lo: f64, hi: f64, xbar: f64) -> Envelope {
     envelope_parts(curve, lo, hi, xbar).env
 }
 
-/// Initial slot count of an [`EnvelopeCache`] table (power of two).
-const CACHE_INITIAL_SLOTS: usize = 256;
-
-/// Hard slot-count ceiling (power of two): 32768 slots ≈ 2.6 MiB per
-/// worker at full load. When a table at this size fills past its load
-/// limit it is cleared in place (the entries are pure-function results, so
-/// dropping them is only a perf event), which bounds both memory and probe
-/// lengths on unbounded query streams.
-const CACHE_MAX_SLOTS: usize = 1 << 15;
-
-/// Occupied-slot marker: curve tags are always non-zero.
-const EMPTY_TAG: u64 = 0;
-
-#[derive(Debug, Clone, Copy)]
-struct CacheSlot {
-    tag: u64,
-    lo: u64,
-    hi: u64,
-    xbar: u64,
-    lower: Line,
-    upper: Line,
-    fmin: f64,
-    fmax: f64,
-}
-
-const EMPTY_SLOT: CacheSlot = CacheSlot {
-    tag: EMPTY_TAG,
-    lo: 0,
-    hi: 0,
-    xbar: 0,
-    lower: Line { m: 0.0, c: 0.0 },
-    upper: Line { m: 0.0, c: 0.0 },
-    fmin: 0.0,
-    fmax: 0.0,
-};
-
-/// Non-zero discriminant of a curve for cache keys. `PowInt` folds the
-/// degree in, so distinct degrees never collide.
-#[inline]
-fn curve_tag(curve: Curve) -> u64 {
-    match curve {
-        Curve::NegExp => 1,
-        Curve::Tanh => 2,
-        Curve::NegExpSqrt => 3,
-        Curve::PowInt { degree } => 4 + degree as u64,
-    }
-}
-
-/// SplitMix64 finalizer — the standard 64-bit avalanche mixer.
-#[inline]
-fn mix64(mut h: u64) -> u64 {
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
-#[inline]
-fn hash_key(tag: u64, lo: u64, hi: u64, xbar: u64) -> u64 {
-    mix64(tag ^ mix64(lo ^ mix64(hi ^ mix64(xbar))))
-}
-
-/// Exact memoization of envelope construction, keyed on the **bit
-/// patterns** of `(curve, lo, hi, x̄)`.
-///
-/// [`envelope_parts`] is a pure function of exactly those four inputs, so
-/// an entry built for one query is bit-for-bit correct for any later
-/// lookup of the same key — across queries, evaluators and bound methods.
-/// The table therefore never needs invalidation: keeping it warm across a
-/// whole batch is what converts repeated intervals (duplicate queries,
-/// clustered query streams) from `exp`/bisection into a hash probe.
-/// Because keys are exact bit patterns, a hit returns the *same bits* the
-/// builder would produce, which is why cache-on and cache-off runs are
-/// bitwise identical (enforced by `tests/envelope_cache_equivalence.rs`).
-///
-/// Open addressing with linear probing over power-of-two tables; grows at
-/// 3/4 load up to [`CACHE_MAX_SLOTS`], then clears in place instead of
-/// growing (see the constant's note). Not thread-safe by design — one
-/// cache per [`Scratch`](crate::eval::Scratch), one scratch per worker.
-#[derive(Debug, Clone, Default)]
-pub struct EnvelopeCache {
-    slots: Vec<CacheSlot>,
-    len: usize,
-    #[cfg(feature = "stats")]
-    hits: u64,
-    #[cfg(feature = "stats")]
-    misses: u64,
-}
-
-impl EnvelopeCache {
-    /// Creates an empty cache; the table is allocated lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of live entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the cache holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Current slot-table size (0 until first use; power of two after).
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Lookups answered from the table (behind the `stats` feature).
-    #[cfg(feature = "stats")]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to build the envelope (behind the `stats` feature).
-    #[cfg(feature = "stats")]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Returns the memoized envelope parts for `(curve, lo, hi, xbar)`,
-    /// building and inserting them on a miss. Identical bits to calling
-    /// [`envelope_parts`] directly, hit or miss.
-    ///
-    /// # Panics
-    /// Propagates [`envelope_parts`]' panics on invalid inputs (which can
-    /// never have been inserted, so the lookup misses first).
-    pub fn get_or_build(&mut self, curve: Curve, lo: f64, hi: f64, xbar: f64) -> EnvelopeParts {
-        if self.slots.is_empty() {
-            self.slots = vec![EMPTY_SLOT; CACHE_INITIAL_SLOTS];
-        }
-        let tag = curve_tag(curve);
-        let (lb, hb, xb) = (lo.to_bits(), hi.to_bits(), xbar.to_bits());
-        match self.find(tag, lb, hb, xb) {
-            Ok(i) => {
-                #[cfg(feature = "stats")]
-                {
-                    self.hits += 1;
-                }
-                let s = &self.slots[i];
-                EnvelopeParts {
-                    env: Envelope {
-                        lower: s.lower,
-                        upper: s.upper,
-                    },
-                    fmin: s.fmin,
-                    fmax: s.fmax,
-                }
-            }
-            Err(mut i) => {
-                #[cfg(feature = "stats")]
-                {
-                    self.misses += 1;
-                }
-                let parts = envelope_parts(curve, lo, hi, xbar);
-                if (self.len + 1) * 4 > self.slots.len() * 3 {
-                    if self.slots.len() < CACHE_MAX_SLOTS {
-                        self.grow();
-                    } else {
-                        self.clear();
-                    }
-                    i = self
-                        .find(tag, lb, hb, xb)
-                        .expect_err("key cannot exist after rehash/clear");
-                }
-                self.slots[i] = CacheSlot {
-                    tag,
-                    lo: lb,
-                    hi: hb,
-                    xbar: xb,
-                    lower: parts.env.lower,
-                    upper: parts.env.upper,
-                    fmin: parts.fmin,
-                    fmax: parts.fmax,
-                };
-                self.len += 1;
-                parts
-            }
-        }
-    }
-
-    /// Linear probe: `Ok(slot)` on a key match, `Err(slot)` with the first
-    /// empty slot on the probe path otherwise. The table is never full
-    /// (grow/clear keeps load ≤ 3/4), so the probe always terminates.
-    #[inline]
-    fn find(&self, tag: u64, lo: u64, hi: u64, xbar: u64) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = hash_key(tag, lo, hi, xbar) as usize & mask;
-        loop {
-            let s = &self.slots[i];
-            if s.tag == EMPTY_TAG {
-                return Err(i);
-            }
-            if s.tag == tag && s.lo == lo && s.hi == hi && s.xbar == xbar {
-                return Ok(i);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let doubled = vec![EMPTY_SLOT; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        for s in old {
-            if s.tag != EMPTY_TAG {
-                let i = self
-                    .find(s.tag, s.lo, s.hi, s.xbar)
-                    .expect_err("rehash of distinct keys cannot collide");
-                self.slots[i] = s;
-            }
-        }
-    }
-
-    /// Drops every entry, keeping the allocated table. Never required for
-    /// correctness (entries are exact); used to bound probe lengths once
-    /// the table hits [`CACHE_MAX_SLOTS`].
-    pub fn clear(&mut self) {
-        self.slots.fill(EMPTY_SLOT);
-        self.len = 0;
-    }
-
-    /// Shrink policy for [`Scratch::reset_with_capacity_cap`]
-    /// (crate::eval::Scratch): if the table has grown beyond `cap` slots,
-    /// reallocate it at the largest power of two ≤ `cap` (dropping the
-    /// entries — a perf event only, never a correctness one); tables
-    /// within the cap are left untouched, entries and all, so cross-query
-    /// reuse survives the reset.
-    pub fn shrink_to_cap(&mut self, cap: usize) {
-        if self.slots.len() <= cap {
-            return;
-        }
-        if cap == 0 {
-            self.slots = Vec::new();
-        } else {
-            let target = if cap.is_power_of_two() {
-                cap
-            } else {
-                cap.next_power_of_two() / 2
-            };
-            self.slots = vec![EMPTY_SLOT; target];
-        }
-        self.len = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,135 +559,6 @@ mod tests {
             env.lower.eval(xbar) + 1e-9 >= fmin,
             "tangent LB below SOTA at x̄"
         );
-    }
-
-    /// Field-by-field bit equality of two [`EnvelopeParts`] — stricter
-    /// than `==` (distinguishes `-0.0` from `0.0`).
-    fn parts_bits(p: &EnvelopeParts) -> [u64; 6] {
-        [
-            p.env.lower.m.to_bits(),
-            p.env.lower.c.to_bits(),
-            p.env.upper.m.to_bits(),
-            p.env.upper.c.to_bits(),
-            p.fmin.to_bits(),
-            p.fmax.to_bits(),
-        ]
-    }
-
-    #[test]
-    fn cache_hit_and_miss_are_bitwise_identical_to_builder() {
-        let mut cache = EnvelopeCache::new();
-        let keys: Vec<(Curve, f64, f64, f64)> = (0..300)
-            .map(|i| {
-                let curve = CURVES[i % CURVES.len()];
-                let t = i as f64 * 0.137;
-                let (mut lo, mut hi) = (t.sin() * 4.0, t.cos() * 4.0 + 1.0);
-                if matches!(curve, Curve::NegExp | Curve::NegExpSqrt) {
-                    lo = lo.abs();
-                    hi = hi.abs();
-                }
-                if lo > hi {
-                    std::mem::swap(&mut lo, &mut hi);
-                }
-                let xbar = lo + (hi - lo) * (0.5 + 0.5 * (t * 3.0).sin());
-                (curve, lo, hi, xbar)
-            })
-            .collect();
-        // First pass: all misses. Second pass: all hits. Both must return
-        // the builder's exact bits.
-        for pass in 0..2 {
-            for &(curve, lo, hi, xbar) in &keys {
-                let direct = envelope_parts(curve, lo, hi, xbar);
-                let cached = cache.get_or_build(curve, lo, hi, xbar);
-                assert_eq!(
-                    parts_bits(&cached),
-                    parts_bits(&direct),
-                    "pass {pass}: {curve:?} on [{lo}, {hi}], xbar {xbar}"
-                );
-            }
-        }
-        // Distinct (curve, lo, hi) tuples may repeat across i % 7 cycles,
-        // but every key must be present exactly once.
-        let distinct: std::collections::HashSet<_> = keys
-            .iter()
-            .map(|&(c, lo, hi, x)| (curve_tag(c), lo.to_bits(), hi.to_bits(), x.to_bits()))
-            .collect();
-        assert_eq!(cache.len(), distinct.len());
-    }
-
-    #[test]
-    fn cache_grows_past_initial_table_and_keeps_entries() {
-        let mut cache = EnvelopeCache::new();
-        // More distinct keys than CACHE_INITIAL_SLOTS * 3/4 forces at least
-        // one grow + rehash.
-        let n = 2 * CACHE_INITIAL_SLOTS;
-        for i in 0..n {
-            let lo = i as f64 * 1e-3;
-            cache.get_or_build(Curve::NegExp, lo, lo + 1.0, lo + 0.5);
-        }
-        assert!(cache.capacity() > CACHE_INITIAL_SLOTS);
-        assert_eq!(cache.len(), n);
-        // Every entry survived the rehash with identical bits.
-        for i in 0..n {
-            let lo = i as f64 * 1e-3;
-            let direct = envelope_parts(Curve::NegExp, lo, lo + 1.0, lo + 0.5);
-            let cached = cache.get_or_build(Curve::NegExp, lo, lo + 1.0, lo + 0.5);
-            assert_eq!(parts_bits(&cached), parts_bits(&direct));
-        }
-        assert_eq!(cache.len(), n, "re-lookups must not insert");
-    }
-
-    #[test]
-    fn cache_clears_in_place_at_max_slots() {
-        let mut cache = EnvelopeCache::new();
-        // Fill past the ceiling's load limit; the table must stop growing at
-        // CACHE_MAX_SLOTS and recycle in place rather than expand.
-        let n = CACHE_MAX_SLOTS;
-        for i in 0..n {
-            let lo = i as f64 * 1e-4;
-            cache.get_or_build(Curve::NegExp, lo, lo + 1.0, lo + 0.5);
-        }
-        assert_eq!(cache.capacity(), CACHE_MAX_SLOTS);
-        assert!(cache.len() <= CACHE_MAX_SLOTS * 3 / 4);
-        // Still answers correctly after the in-place clear.
-        let direct = envelope_parts(Curve::NegExp, 0.25, 1.25, 0.75);
-        let cached = cache.get_or_build(Curve::NegExp, 0.25, 1.25, 0.75);
-        assert_eq!(parts_bits(&cached), parts_bits(&direct));
-    }
-
-    #[test]
-    fn cache_shrink_to_cap_policy() {
-        let mut cache = EnvelopeCache::new();
-        for i in 0..CACHE_INITIAL_SLOTS {
-            let lo = i as f64 * 1e-2;
-            cache.get_or_build(Curve::NegExp, lo, lo + 1.0, lo + 0.5);
-        }
-        let grown = cache.capacity();
-        assert!(grown > CACHE_INITIAL_SLOTS);
-
-        // Within the cap: untouched, entries preserved.
-        let len_before = cache.len();
-        cache.shrink_to_cap(grown);
-        assert_eq!(cache.capacity(), grown);
-        assert_eq!(cache.len(), len_before);
-
-        // Beyond the cap: reallocated to the largest power of two ≤ cap,
-        // entries dropped (a perf event only — keys fully determine values).
-        cache.shrink_to_cap(grown / 2 + 3);
-        assert_eq!(cache.capacity(), grown / 2);
-        assert!(cache.is_empty());
-
-        // Still correct afterwards.
-        let direct = envelope_parts(Curve::Tanh, -1.0, 2.0, 0.5);
-        let cached = cache.get_or_build(Curve::Tanh, -1.0, 2.0, 0.5);
-        assert_eq!(parts_bits(&cached), parts_bits(&direct));
-
-        // cap = 0 drops the table entirely; the next use re-allocates.
-        cache.shrink_to_cap(0);
-        assert_eq!(cache.capacity(), 0);
-        let cached = cache.get_or_build(Curve::Tanh, -1.0, 2.0, 0.5);
-        assert_eq!(parts_bits(&cached), parts_bits(&direct));
-        assert_eq!(cache.capacity(), CACHE_INITIAL_SLOTS);
     }
 
     #[test]

@@ -93,13 +93,6 @@ pub enum KarlError {
     InvalidLeafCapacity,
     /// An evaluator was assembled from no trees at all.
     NoTree,
-    /// The kernel has no uniform Lipschitz bound in the data argument
-    /// (polynomial / sigmoid grow with `‖q‖`), so a coreset cannot carry a
-    /// certified error bound and the cascade tier is unavailable.
-    UnsupportedCoresetKernel {
-        /// Kernel family name.
-        kernel: &'static str,
-    },
     /// A batch query panicked inside the containment boundary; the rest of
     /// the batch completed normally.
     QueryPanicked {
@@ -204,9 +197,6 @@ impl fmt::Display for KarlError {
             }
             KarlError::InvalidLeafCapacity => write!(f, "leaf capacity must be at least 1"),
             KarlError::NoTree => write!(f, "evaluator needs at least one tree"),
-            KarlError::UnsupportedCoresetKernel { kernel } => {
-                write!(f, "{kernel} kernel has no uniform Lipschitz bound; coreset tier unavailable")
-            }
             KarlError::QueryPanicked { index, message } => {
                 write!(f, "query {index} panicked: {message}")
             }

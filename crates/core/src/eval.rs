@@ -27,8 +27,6 @@ use crate::bounds::{
     assemble_interval, node_bounds, node_intervals_frozen, BoundMethod, BoundPair, NodeInterval,
     QueryContext,
 };
-use crate::coreset::Coreset;
-use crate::envelope::EnvelopeCache;
 use crate::error::{self, KarlError};
 use crate::kernel::Kernel;
 
@@ -361,32 +359,16 @@ impl Ord for Entry {
 
 /// Run counters accumulated per [`Scratch`] (behind the `stats` feature):
 /// how much refinement and envelope work the queries routed through that
-/// scratch performed, and how much of it the envelope cache absorbed.
+/// scratch performed.
 #[cfg(feature = "stats")]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Heap pops (refinement iterations) across all runs.
     pub nodes_refined: u64,
-    /// Envelopes actually constructed (cache hits skip construction).
+    /// Envelopes constructed.
     pub envelopes_built: u64,
-    /// Envelope-cache lookups answered from the table.
-    pub cache_hits: u64,
-    /// Envelope-cache lookups that fell through to construction.
-    pub cache_misses: u64,
     /// `Curve::value` evaluations — the transcendental workhorse count.
     pub curve_value_calls: u64,
-    /// Query-node × data-node pair intervals scored by the dual-tree
-    /// descent (zero outside `run_dual`).
-    pub dual_pairs_scored: u64,
-    /// Queries decided wholesale by a joint query-node interval, without
-    /// any per-query refinement (zero outside `run_dual`).
-    pub dual_wholesale_decided: u64,
-    /// Queries the coreset front tier decided outright (zero when the
-    /// cascade is off).
-    pub coreset_decided: u64,
-    /// Queries that ran the coreset tier but fell through to the full tree
-    /// (zero when the cascade is off).
-    pub coreset_fallthrough: u64,
     /// Active SIMD backend name (`"avx2"` / `"scalar"`) the run's kernels
     /// dispatched to; `""` until a run stamps it. Purely informational —
     /// backends are bitwise identical — but it records which ISA produced
@@ -400,13 +382,7 @@ impl RunStats {
     pub fn merge(&mut self, other: &RunStats) {
         self.nodes_refined += other.nodes_refined;
         self.envelopes_built += other.envelopes_built;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.curve_value_calls += other.curve_value_calls;
-        self.dual_pairs_scored += other.dual_pairs_scored;
-        self.dual_wholesale_decided += other.dual_wholesale_decided;
-        self.coreset_decided += other.coreset_decided;
-        self.coreset_fallthrough += other.coreset_fallthrough;
         if self.simd_backend.is_empty() {
             self.simd_backend = other.simd_backend;
         }
@@ -416,14 +392,13 @@ impl RunStats {
 /// Reusable per-query workspace for [`Evaluator::run_with_scratch`]: the
 /// priority-queue storage (which doubles as the entry pool — `BinaryHeap`
 /// keeps its backing buffer across [`clear`](BinaryHeap::clear)), the
-/// trace buffer, the frontier/interval buffers of the two-pass bound
-/// kernel, and the envelope memoization table. After the first few queries
-/// have grown the buffers to the workload's high-water mark, evaluation
-/// performs no heap allocation.
+/// trace buffer, and the frontier/interval buffers of the two-pass bound
+/// kernel. After the first few queries have grown the buffers to the
+/// workload's high-water mark, evaluation performs no heap allocation.
 ///
 /// One `Scratch` per worker thread is the intended usage; see
 /// [`crate::batch`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Scratch {
     heap: BinaryHeap<Entry>,
     trace: Vec<TraceStep>,
@@ -431,39 +406,12 @@ pub struct Scratch {
     frontier: Vec<NodeId>,
     /// Interval records pass 1 emits and pass 2 consumes.
     intervals: Vec<NodeInterval>,
-    /// Exact envelope memoization, warm across every query routed through
-    /// this scratch (entries are pure functions of their keys, so
-    /// cross-query reuse is always bitwise-safe).
-    env_cache: EnvelopeCache,
-    env_cache_enabled: bool,
     #[cfg(feature = "stats")]
     stats: RunStats,
 }
 
-impl Default for Scratch {
-    fn default() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            trace: Vec::new(),
-            frontier: Vec::new(),
-            intervals: Vec::new(),
-            env_cache: EnvelopeCache::new(),
-            // The cache changes no bits, only cost — but on streams of
-            // distinct queries every probe misses and the tax exceeds a
-            // shared-endpoint Gaussian build, so it is opt-in (it pays on
-            // duplicate-heavy query streams; see DESIGN.md §10).
-            env_cache_enabled: false,
-            #[cfg(feature = "stats")]
-            stats: RunStats::default(),
-        }
-    }
-}
-
 impl Scratch {
-    /// Creates an empty workspace (buffers grow on first use) with the
-    /// envelope cache disabled (enable it with
-    /// [`set_envelope_cache`](Self::set_envelope_cache) for duplicate-heavy
-    /// query streams).
+    /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
     }
@@ -474,24 +422,10 @@ impl Scratch {
         &self.trace
     }
 
-    /// Enables or disables the envelope memoization for subsequent runs.
-    /// Purely a performance switch: outcomes and traces are bitwise
-    /// identical either way (`tests/envelope_cache_equivalence.rs`).
-    pub fn set_envelope_cache(&mut self, enabled: bool) {
-        self.env_cache_enabled = enabled;
-    }
-
-    /// Whether the envelope memoization is enabled.
-    pub fn envelope_cache_enabled(&self) -> bool {
-        self.env_cache_enabled
-    }
-
     /// Clears every buffer and shrinks any that grew beyond `cap` elements
-    /// (`cap` slots for the envelope cache) back down to it. Long batch
-    /// runs call this between chunks so one adversarial query cannot
-    /// ratchet a worker's memory for the rest of the batch; buffers at or
-    /// under the cap keep their allocations (and the envelope cache keeps
-    /// its entries — dropping them is never needed for correctness).
+    /// back down to it. Long batch runs call this between chunks so one
+    /// adversarial query cannot ratchet a worker's memory for the rest of
+    /// the batch; buffers at or under the cap keep their allocations.
     pub fn reset_with_capacity_cap(&mut self, cap: usize) {
         self.heap.clear();
         self.heap.shrink_to(cap);
@@ -501,16 +435,13 @@ impl Scratch {
         self.frontier.shrink_to(cap);
         self.intervals.clear();
         self.intervals.shrink_to(cap);
-        self.env_cache.shrink_to_cap(cap);
     }
 
-    /// The accumulated run counters, with the envelope cache's live
-    /// hit/miss totals folded in (behind the `stats` feature).
+    /// The accumulated run counters, stamped with the active SIMD backend
+    /// (behind the `stats` feature).
     #[cfg(feature = "stats")]
     pub fn stats(&self) -> RunStats {
         let mut s = self.stats;
-        s.cache_hits = self.env_cache.hits();
-        s.cache_misses = self.env_cache.misses();
         s.simd_backend = karl_geom::backend_name();
         s
     }
@@ -534,9 +465,6 @@ pub struct Evaluator<S: NodeShape> {
     kernel: Kernel,
     method: BoundMethod,
     dims: usize,
-    /// Optional coreset front tier for the evaluation cascade (default
-    /// `None`; attach with [`with_coreset_tier`](Self::with_coreset_tier)).
-    tier: Option<Box<CoresetTier<S>>>,
 }
 
 /// Per-side point data backing leaf refinement: either a built pointer
@@ -596,31 +524,6 @@ impl<S: NodeShape> SideData<S> {
             SideData::Loaded(_) => None,
         }
     }
-}
-
-/// The coreset front tier: a second (small) evaluator frozen over the
-/// coreset representatives, plus the certified absolute widening its
-/// intervals need to stay sound for the full dataset.
-#[derive(Debug, Clone)]
-struct CoresetTier<S: NodeShape> {
-    eval: Evaluator<S>,
-    /// `eps_c · Σ|wᵢ|`: `|S_coreset(q) − S_full(q)|` never exceeds this for
-    /// any finite query (see [`crate::coreset`] for the certificate).
-    margin: f64,
-}
-
-/// Which tier of the coreset cascade produced a query's answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierPath {
-    /// No tier is attached, or the query type bypasses the tier (`Within`
-    /// queries always run on the full tree so their answers stay bitwise
-    /// identical to the non-cascade engine).
-    Bypassed,
-    /// The widened coreset interval decided the query at tier 1; the full
-    /// tree was never touched.
-    Decided,
-    /// The widened interval could not decide; the full tree answered.
-    FellThrough,
 }
 
 /// Evaluator over a kd-tree.
@@ -696,7 +599,6 @@ impl<S: NodeShape> Evaluator<S> {
             kernel,
             method,
             dims: points.dims(),
-            tier: None,
         })
     }
 
@@ -745,7 +647,6 @@ impl<S: NodeShape> Evaluator<S> {
             kernel,
             method,
             dims,
-            tier: None,
         })
     }
 
@@ -785,7 +686,6 @@ impl<S: NodeShape> Evaluator<S> {
             kernel,
             method,
             dims,
-            tier: None,
         })
     }
 
@@ -984,7 +884,6 @@ impl<S: NodeShape> Evaluator<S> {
             &mut scratch,
             true,
             &Budget::UNLIMITED,
-            0.0,
         );
         (out, std::mem::take(&mut scratch.trace))
     }
@@ -1014,7 +913,6 @@ impl<S: NodeShape> Evaluator<S> {
             &mut Scratch::new(),
             false,
             &Budget::UNLIMITED,
-            0.0,
         );
         Ok(out)
     }
@@ -1058,7 +956,7 @@ impl<S: NodeShape> Evaluator<S> {
             return Err(KarlError::PointerEngineUnavailable);
         }
         let (out, truncated) =
-            self.run_core_on(engine, q, query, level_cap, scratch, false, budget, 0.0);
+            self.run_core_on(engine, q, query, level_cap, scratch, false, budget);
         Ok(match truncated {
             None => Outcome::Complete(out),
             Some(reason) => Outcome::Truncated {
@@ -1138,7 +1036,6 @@ impl<S: NodeShape> Evaluator<S> {
             &mut Scratch::new(),
             false,
             &Budget::UNLIMITED,
-            0.0,
         )
         .0
     }
@@ -1167,7 +1064,6 @@ impl<S: NodeShape> Evaluator<S> {
             scratch,
             false,
             &Budget::UNLIMITED,
-            0.0,
         )
         .0
     }
@@ -1189,215 +1085,8 @@ impl<S: NodeShape> Evaluator<S> {
             scratch,
             false,
             &Budget::UNLIMITED,
-            0.0,
         )
         .0
-    }
-
-    /// Attaches a coreset front tier, turning this evaluator into a two-tier
-    /// cascade: TKAQ/eKAQ queries first refine on a small tree frozen over
-    /// the coreset representatives with every termination test widened by
-    /// the certificate `margin = eps_c·Σ|wᵢ|`, and only fall through to the
-    /// full tree when the widened interval cannot decide. A tier answer is
-    /// sound for the full dataset because `S_full(q)` always lies inside
-    /// `[lb_core − margin, ub_core + margin]`.
-    ///
-    /// `Within` queries always bypass the tier (their batch contract is a
-    /// bitwise-identical answer to the non-cascade engine, see
-    /// `tests/coreset_cascade_equivalence.rs`). The tier only pays when
-    /// queries land in clear accept/reject regions of `τ` (or loose `ε`);
-    /// a fall-through costs one extra O(|coreset|) refinement.
-    ///
-    /// Errors: [`KarlError::DimMismatch`] when the coreset dimensionality
-    /// disagrees, [`KarlError::LengthMismatch`] via tree construction, and
-    /// a kernel mismatch is rejected as
-    /// [`KarlError::UnsupportedCoresetKernel`] — the certificate is only
-    /// valid for the kernel it was derived for.
-    pub fn with_coreset_tier(
-        mut self,
-        coreset: &Coreset,
-        leaf_capacity: usize,
-    ) -> Result<Self, KarlError> {
-        if coreset.points().dims() != self.dims {
-            return Err(KarlError::DimMismatch {
-                expected: self.dims,
-                got: coreset.points().dims(),
-            });
-        }
-        if coreset.kernel() != self.kernel {
-            return Err(KarlError::UnsupportedCoresetKernel {
-                kernel: "mismatched (coreset was certified for a different kernel)",
-            });
-        }
-        let eval = Evaluator::try_build(
-            coreset.points(),
-            coreset.weights(),
-            self.kernel,
-            self.method,
-            leaf_capacity,
-        )?;
-        self.tier = Some(Box::new(CoresetTier {
-            eval,
-            margin: coreset.margin(),
-        }));
-        Ok(self)
-    }
-
-    /// Detaches the coreset tier (subsequent runs use the full tree only).
-    pub fn without_coreset_tier(mut self) -> Self {
-        self.tier = None;
-        self
-    }
-
-    /// Whether a coreset front tier is attached.
-    pub fn has_coreset_tier(&self) -> bool {
-        self.tier.is_some()
-    }
-
-    /// The certified absolute widening of the attached tier, if any.
-    pub fn coreset_margin(&self) -> Option<f64> {
-        self.tier.as_ref().map(|t| t.margin)
-    }
-
-    /// Heap bytes of the attached tier's frozen indexes, if any — the extra
-    /// memory the cascade stacks on top of the full index.
-    pub fn tier_footprint_bytes(&self) -> Option<usize> {
-        self.tier.as_ref().map(|t| {
-            t.eval.pos_frozen().map_or(0, FrozenTree::footprint_bytes)
-                + t.eval.neg_frozen().map_or(0, FrozenTree::footprint_bytes)
-        })
-    }
-
-    /// Whether the attached tier applies to `query` at all (`Within`
-    /// bypasses it, and without a tier nothing applies).
-    #[inline]
-    fn tier_applies(&self, query: Query) -> bool {
-        self.tier.is_some() && !matches!(query, Query::Within { .. })
-    }
-
-    /// Runs tier 1 of the cascade: refine on the coreset tree with the
-    /// termination test widened by the certificate margin, and return the
-    /// *widened* outcome when it decides the query. `None` means the tier
-    /// does not apply or could not decide: tier refinement stops at the
-    /// certificate's resolution (interval width ≤ margin) because past
-    /// that floor the coreset's own error dominates — queries inside the
-    /// margin-wide boundary band fall through instead of grinding the
-    /// coreset tree down to an exact scan.
-    fn tier_attempt(
-        &self,
-        engine: Engine,
-        q: &[f64],
-        query: Query,
-        scratch: &mut Scratch,
-    ) -> Option<RunOutcome> {
-        let tier = self.tier.as_deref()?;
-        if matches!(query, Query::Within { .. }) {
-            return None;
-        }
-        // Unbudgeted: the tier's cost is bounded by the coreset size, and
-        // the caller's budget governs the expensive fall-through run only
-        // (mirroring the dual-tree wholesale semantics).
-        let (out, _) = tier.eval.run_core_on(
-            engine,
-            q,
-            query,
-            None,
-            scratch,
-            false,
-            &Budget::UNLIMITED,
-            tier.margin,
-        );
-        if terminated(query, out.lb, out.ub, tier.margin) {
-            Some(RunOutcome {
-                lb: out.lb - tier.margin,
-                ub: out.ub + tier.margin,
-                iterations: out.iterations,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// [`run_with_scratch_on`](Self::run_with_scratch_on) through the
-    /// coreset cascade: tier 1 first (when attached and applicable), full
-    /// tree on fall-through. The returned [`TierPath`] records which tier
-    /// answered; a [`TierPath::Decided`] outcome carries the widened —
-    /// still certified — interval, whose `decide_tkaq`/`estimate_ekaq`
-    /// answers match the full-tree engine (TKAQ exactly, eKAQ within the
-    /// requested ε).
-    pub fn run_cascade_with_scratch_on(
-        &self,
-        engine: Engine,
-        q: &[f64],
-        query: Query,
-        level_cap: Option<u16>,
-        scratch: &mut Scratch,
-    ) -> (RunOutcome, TierPath) {
-        if let Some(out) = self.tier_attempt(engine, q, query, scratch) {
-            return (out, TierPath::Decided);
-        }
-        let path = if self.tier_applies(query) {
-            TierPath::FellThrough
-        } else {
-            TierPath::Bypassed
-        };
-        let out = self
-            .run_core_on(
-                engine,
-                q,
-                query,
-                level_cap,
-                scratch,
-                false,
-                &Budget::UNLIMITED,
-                0.0,
-            )
-            .0;
-        (out, path)
-    }
-
-    /// Budget-aware cascade twin of
-    /// [`run_budgeted_with_scratch_on`](Self::run_budgeted_with_scratch_on).
-    /// The budget applies to the fall-through full-tree run only: tier-1
-    /// work is bounded by the coreset size, so a tier-decided query is
-    /// always `Outcome::Complete` even under a starving budget (exactly the
-    /// dual-tree wholesale contract).
-    #[allow(clippy::too_many_arguments)] // mirrors run_budgeted_with_scratch_on
-    pub fn run_cascade_budgeted_with_scratch_on(
-        &self,
-        engine: Engine,
-        q: &[f64],
-        query: Query,
-        level_cap: Option<u16>,
-        budget: &Budget,
-        scratch: &mut Scratch,
-    ) -> Result<(Outcome, TierPath), KarlError> {
-        error::validate_query(q, self.dims)?;
-        error::validate_spec(query)?;
-        if engine == Engine::Pointer && !self.pointer_available() {
-            return Err(KarlError::PointerEngineUnavailable);
-        }
-        if let Some(out) = self.tier_attempt(engine, q, query, scratch) {
-            return Ok((Outcome::Complete(out), TierPath::Decided));
-        }
-        let path = if self.tier_applies(query) {
-            TierPath::FellThrough
-        } else {
-            TierPath::Bypassed
-        };
-        let (out, truncated) =
-            self.run_core_on(engine, q, query, level_cap, scratch, false, budget, 0.0);
-        Ok((
-            match truncated {
-                None => Outcome::Complete(out),
-                Some(reason) => Outcome::Truncated {
-                    lb: out.lb,
-                    ub: out.ub,
-                    reason,
-                },
-            },
-            path,
-        ))
     }
 
     fn check_query(&self, q: &[f64]) {
@@ -1414,14 +1103,13 @@ impl<S: NodeShape> Evaluator<S> {
             &mut Scratch::new(),
             false,
             &Budget::UNLIMITED,
-            0.0,
         )
         .0
     }
 
     /// [`trace_run_on`](Self::trace_run_on) with caller-owned scratch: the
-    /// trajectory lands in [`Scratch::trace`], so a warm scratch (and its
-    /// envelope cache) can be threaded through a sequence of traced runs.
+    /// trajectory lands in [`Scratch::trace`], so a warm scratch can be
+    /// threaded through a sequence of traced runs.
     pub fn trace_run_with_scratch_on(
         &self,
         engine: Engine,
@@ -1430,7 +1118,7 @@ impl<S: NodeShape> Evaluator<S> {
         scratch: &mut Scratch,
     ) -> RunOutcome {
         self.check_query(q);
-        self.run_core_on(engine, q, query, None, scratch, true, &Budget::UNLIMITED, 0.0)
+        self.run_core_on(engine, q, query, None, scratch, true, &Budget::UNLIMITED)
             .0
     }
 
@@ -1445,7 +1133,6 @@ impl<S: NodeShape> Evaluator<S> {
         scratch: &mut Scratch,
         record_trace: bool,
         budget: &Budget,
-        margin: f64,
     ) -> (RunOutcome, Option<TruncateReason>) {
         #[cfg(feature = "stats")]
         let (value_calls0, built0) = (
@@ -1454,10 +1141,10 @@ impl<S: NodeShape> Evaluator<S> {
         );
         let out = match engine {
             Engine::Frozen => {
-                self.run_core_frozen(q, query, level_cap, scratch, record_trace, budget, margin)
+                self.run_core_frozen(q, query, level_cap, scratch, record_trace, budget)
             }
             Engine::Pointer => {
-                self.run_core_pointer(q, query, level_cap, scratch, record_trace, budget, margin)
+                self.run_core_pointer(q, query, level_cap, scratch, record_trace, budget)
             }
         };
         #[cfg(feature = "stats")]
@@ -1476,7 +1163,7 @@ impl<S: NodeShape> Evaluator<S> {
     /// Each heap pop gathers its children into the frontier buffer, pass 1
     /// streams the batched fused geometry kernels over them emitting
     /// [`NodeInterval`] records, and pass 2 sweeps those records building
-    /// envelopes through the scratch's memoization table.
+    /// envelopes.
     ///
     /// Frontier order is left child then right child — exactly the push
     /// order of the old one-node-at-a-time loop — and pass 2 accumulates
@@ -1492,19 +1179,16 @@ impl<S: NodeShape> Evaluator<S> {
         scratch: &mut Scratch,
         record_trace: bool,
         budget: &Budget,
-        margin: f64,
     ) -> (RunOutcome, Option<TruncateReason>) {
         debug_assert_eq!(q.len(), self.dims, "query dimensionality mismatch");
         let ctx = QueryContext::new(&self.kernel, self.method, q);
         let method = self.method;
         let curve = self.kernel.curve();
-        let use_cache = scratch.env_cache_enabled;
         let Scratch {
             heap,
             trace,
             frontier,
             intervals,
-            env_cache,
             ..
         } = scratch;
         heap.clear();
@@ -1522,7 +1206,7 @@ impl<S: NodeShape> Evaluator<S> {
                                   negated: bool| {
             node_intervals_frozen(&ctx, frozen, ids, intervals);
             for iv in intervals.iter() {
-                let b = assemble_interval(method, curve, iv, env_cache, use_cache);
+                let b = assemble_interval(method, curve, iv);
                 let (elb, eub) = contribution(&b, negated);
                 *lb += elb;
                 *ub += eub;
@@ -1561,16 +1245,7 @@ impl<S: NodeShape> Evaluator<S> {
             });
         }
         loop {
-            if terminated(query, lb, ub, margin) {
-                break;
-            }
-            // Tier runs (margin > 0) refine at certificate resolution only:
-            // once the interval is narrower than the widening margin the
-            // coreset's own error dominates, so grinding on (ultimately to
-            // an exact scan of every representative) cannot settle a query
-            // the widened test hasn't settled already — give up and let the
-            // caller fall through to the full tree.
-            if margin > 0.0 && ub - lb <= margin {
+            if terminated(query, lb, ub) {
                 break;
             }
             // Checked after the termination test so a completed run can
@@ -1634,7 +1309,6 @@ impl<S: NodeShape> Evaluator<S> {
         scratch: &mut Scratch,
         record_trace: bool,
         budget: &Budget,
-        margin: f64,
     ) -> (RunOutcome, Option<TruncateReason>) {
         debug_assert_eq!(q.len(), self.dims, "query dimensionality mismatch");
         let qn = norm2(q);
@@ -1694,12 +1368,7 @@ impl<S: NodeShape> Evaluator<S> {
             });
         }
         loop {
-            if terminated(query, lb, ub, margin) {
-                break;
-            }
-            // Certificate-resolution floor for tier runs; see the frozen
-            // loop for the rationale (the two engines must stay in lockstep).
-            if margin > 0.0 && ub - lb <= margin {
+            if terminated(query, lb, ub) {
                 break;
             }
             if budgeted {
@@ -1759,20 +1428,13 @@ pub(crate) fn contribution(b: &BoundPair, negated: bool) -> (f64, f64) {
     }
 }
 
-/// Termination test on the interval `[lb − margin, ub + margin]`.
-///
-/// `margin` is the coreset cascade's certified widening (`eps_c · Σ|wᵢ|`);
-/// the full-tree paths pass `0.0`, for which every arm reduces *exactly* to
-/// the unwidened predicate (`x − 0.0` and `x + 0.0` preserve the value of
-/// every finite `x`, and `±0.0` compare equal), so the margin-free paths
-/// stay bitwise identical to the pre-cascade engine.
+/// Termination test on the certified interval `[lb, ub]`.
 #[inline]
-fn terminated(query: Query, lb: f64, ub: f64, margin: f64) -> bool {
-    let (wl, wu) = (lb - margin, ub + margin);
+fn terminated(query: Query, lb: f64, ub: f64) -> bool {
     match query {
-        Query::Tkaq { tau } => wl >= tau || wu < tau,
-        Query::Ekaq { eps } => (wl > 0.0 && wu <= (1.0 + eps) * wl) || wu <= wl,
-        Query::Within { tol } => wu - wl <= tol,
+        Query::Tkaq { tau } => lb >= tau || ub < tau,
+        Query::Ekaq { eps } => (lb > 0.0 && ub <= (1.0 + eps) * lb) || ub <= lb,
+        Query::Within { tol } => ub - lb <= tol,
     }
 }
 
@@ -2061,41 +1723,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_cache_toggle_is_bit_identical() {
-        // Cache-on and cache-off scratches must produce identical outcomes
-        // and identical traces on the same query stream (with duplicates,
-        // so the cache actually gets hits).
-        let ps = clustered_points(300, 3, 45);
-        let w = mixed_weights(300, 46);
-        let kernel = Kernel::gaussian(0.6);
-        let eval = Evaluator::<Rect>::build(&ps, &w, kernel, BoundMethod::Karl, 8);
-        let mut on = Scratch::new();
-        let mut off = Scratch::new();
-        on.set_envelope_cache(true);
-        assert!(on.envelope_cache_enabled());
-        assert!(!off.envelope_cache_enabled(), "cache is opt-in");
-        let queries = clustered_points(10, 3, 47);
-        for pass in 0..2 {
-            for q in queries.iter() {
-                for query in [
-                    Query::Tkaq { tau: 0.2 },
-                    Query::Ekaq { eps: 0.1 },
-                    Query::Within { tol: 0.05 },
-                ] {
-                    let a = eval.run_with_scratch(q, query, None, &mut on);
-                    let b = eval.run_with_scratch(q, query, None, &mut off);
-                    assert_eq!(a, b, "pass {pass} {query:?}");
-                    let ta = eval.trace_run_with_scratch_on(Engine::Frozen, q, query, &mut on);
-                    let trace_a: Vec<TraceStep> = on.trace().to_vec();
-                    let tb = eval.trace_run_with_scratch_on(Engine::Frozen, q, query, &mut off);
-                    assert_eq!(ta, tb, "pass {pass} {query:?} traced");
-                    assert_eq!(trace_a.as_slice(), off.trace(), "pass {pass} {query:?} trace");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn reset_with_capacity_cap_shrinks_oversized_buffers() {
         // Grow a scratch well past a small cap on a real workload, then
         // check the shrink policy: every buffer lands at or below the cap,
@@ -2117,7 +1744,6 @@ mod tests {
         assert!(scratch.trace.capacity() <= cap);
         assert!(scratch.frontier.capacity() <= cap);
         assert!(scratch.intervals.capacity() <= cap);
-        assert!(scratch.env_cache.capacity() <= cap);
         assert!(scratch.heap.is_empty() && scratch.trace.is_empty());
 
         // Within-cap buffers are left alone by a larger cap.
@@ -2128,53 +1754,6 @@ mod tests {
         // And the scratch still evaluates identically after shrinking.
         let again = eval.run_with_scratch(&q, Query::Within { tol: 1e-9 }, None, &mut scratch);
         assert_eq!(want, again);
-    }
-
-    /// The `stats`-gated proof that the envelope cache actually removes
-    /// transcendental work: a canned clustered workload with repeated
-    /// queries must cost strictly fewer `Curve::value` calls with the
-    /// cache on than off, with the difference visible as cache hits.
-    #[cfg(feature = "stats")]
-    #[test]
-    fn stats_cache_reduces_curve_value_calls_on_clustered_workload() {
-        let ps = clustered_points(400, 3, 49);
-        let w = vec![1.0 / 400.0; 400];
-        let kernel = Kernel::gaussian(0.5);
-        let eval = Evaluator::<Rect>::build(&ps, &w, kernel, BoundMethod::Karl, 8);
-        // 6 distinct clustered queries, each issued 4 times — the canned
-        // duplicate-heavy stream the memoization targets.
-        let base = clustered_points(6, 3, 50);
-        let queries: Vec<Vec<f64>> = (0..24).map(|i| base.point(i % 6).to_vec()).collect();
-
-        let mut on = Scratch::new();
-        let mut off = Scratch::new();
-        on.set_envelope_cache(true);
-        for q in &queries {
-            eval.run_with_scratch(q, Query::Ekaq { eps: 0.1 }, None, &mut on);
-            eval.run_with_scratch(q, Query::Ekaq { eps: 0.1 }, None, &mut off);
-        }
-        let stats_on = on.stats();
-        let stats_off = off.stats();
-
-        assert_eq!(stats_on.nodes_refined, stats_off.nodes_refined);
-        assert!(stats_on.cache_hits > 0, "duplicate queries must hit");
-        assert_eq!(stats_off.cache_hits, 0);
-        assert_eq!(stats_off.cache_misses, 0);
-        assert!(
-            stats_on.curve_value_calls < stats_off.curve_value_calls,
-            "cache on: {} value calls, off: {}",
-            stats_on.curve_value_calls,
-            stats_off.curve_value_calls
-        );
-        assert!(
-            stats_on.envelopes_built < stats_off.envelopes_built,
-            "hits must skip envelope construction"
-        );
-        assert_eq!(
-            stats_on.envelopes_built,
-            stats_on.cache_misses,
-            "with the cache on, every construction is a miss"
-        );
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!
 //! The plan is guarded by an [`InjectionGuard`] holding a global lock, so
 //! concurrently running `#[test]`s cannot interleave their plans; dropping
-//! the guard clears the plan even when the test itself panics.
+//! the guard clears the plan even when the test itself panics. The batch
+//! engine reads the plan without that lock, so a test must hold its guard
+//! for *every* batch it runs — its healthy baseline included — or that
+//! batch can pick up another test's live plan. Take `inject(&[])` first,
+//! run the baseline, then arm the plan with [`InjectionGuard::set`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -40,6 +44,17 @@ pub struct InjectionGuard {
     _gate: MutexGuard<'static, ()>,
 }
 
+impl InjectionGuard {
+    /// Replaces the installed plan (and resets the base offset) while the
+    /// guard keeps holding the injection lock.
+    pub fn set(&self, faults: &[(usize, Fault)]) {
+        let mut p = plan();
+        p.clear();
+        p.extend_from_slice(faults);
+        BASE.store(0, Ordering::SeqCst);
+    }
+}
+
 impl Drop for InjectionGuard {
     fn drop(&mut self) {
         plan().clear();
@@ -51,12 +66,11 @@ impl Drop for InjectionGuard {
 /// injection lock until dropped. Tests must keep the guard alive for the
 /// duration of the batch run they want sabotaged.
 pub fn inject(faults: &[(usize, Fault)]) -> InjectionGuard {
-    let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut p = plan();
-    p.clear();
-    p.extend_from_slice(faults);
-    BASE.store(0, Ordering::SeqCst);
-    InjectionGuard { _gate: gate }
+    let guard = InjectionGuard {
+        _gate: GATE.lock().unwrap_or_else(PoisonError::into_inner),
+    };
+    guard.set(faults);
+    guard
 }
 
 /// Removes every planned fault (also done automatically on guard drop).
@@ -87,4 +101,23 @@ pub fn base() -> usize {
 pub(crate) fn planned(slot: usize) -> Option<Fault> {
     let index = BASE.load(Ordering::SeqCst) + slot;
     plan().iter().find(|(i, _)| *i == index).map(|(_, f)| *f)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn guard_drop_alone_clears_the_plan() {
+        // No batch reaches this index, so concurrent batch tests never see
+        // the plan.
+        let far = usize::MAX;
+        let guard = inject(&[(far, Fault::Panic)]);
+        assert_eq!(plan().as_slice(), &[(far, Fault::Panic)]);
+        drop(guard);
+        // Take the gate itself: `inject` would clear the plan on its own.
+        // `BASE` is not checked, since serve tests set it without the gate.
+        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(plan().is_empty());
+    }
 }

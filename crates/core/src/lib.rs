@@ -51,7 +51,6 @@
 
 pub mod batch;
 pub mod bounds;
-pub mod coreset;
 pub mod curve;
 pub mod envelope;
 pub mod error;
@@ -68,19 +67,16 @@ pub mod tuning;
 pub use batch::{resolve_threads, BatchOutcome, BatchReport, QueryBatch};
 pub use error::KarlError;
 pub use bounds::{
-    assemble_interval, assemble_pair, node_bounds, node_bounds_frozen, node_interval_frozen,
-    node_intervals_frozen, pair_bounds_frozen, pair_interval_frozen, pair_intervals_frozen,
-    BoundMethod, BoundPair, DualQueryContext, NodeInterval, PairInterval, QueryContext,
-    QueryRegion,
+    assemble_interval, node_bounds, node_bounds_frozen, node_interval_frozen,
+    node_intervals_frozen, BoundMethod, BoundPair, NodeInterval, QueryContext,
 };
-pub use coreset::{lipschitz, Coreset};
 pub use curve::{Curvature, Curve};
-pub use envelope::{envelope, envelope_parts, Envelope, EnvelopeCache, EnvelopeParts, Line};
+pub use envelope::{envelope, envelope_parts, Envelope, EnvelopeParts, Line};
 #[cfg(feature = "stats")]
 pub use eval::RunStats;
 pub use eval::{
     BallEvaluator, Budget, Engine, Estimate, Evaluator, KdEvaluator, Outcome, Query, RunOutcome,
-    Scratch, TierPath, TkaqDecision, TraceStep, TruncateReason,
+    Scratch, TkaqDecision, TraceStep, TruncateReason,
 };
 #[cfg(feature = "fault-inject")]
 pub use fault::{base, clear_plan, inject, set_base, Fault, InjectionGuard};

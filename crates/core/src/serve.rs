@@ -499,21 +499,11 @@ fn push_stats_object(out: &mut String, s: &StatsSnapshot, run: Option<RunRef<'_>
     if let Some(r) = run {
         let _ = write!(
             out,
-            ",\"run\":{{\"nodes_refined\":{},\"envelopes_built\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"curve_value_calls\":{},\"dual_pairs_scored\":{},\
-             \"dual_wholesale_decided\":{},\"coreset_decided\":{},\
-             \"coreset_fallthrough\":{},\"simd_backend\":",
-            r.nodes_refined,
-            r.envelopes_built,
-            r.cache_hits,
-            r.cache_misses,
-            r.curve_value_calls,
-            r.dual_pairs_scored,
-            r.dual_wholesale_decided,
-            r.coreset_decided,
-            r.coreset_fallthrough
+            ",\"run\":{{\"nodes_refined\":{},\"envelopes_built\":{},\
+             \"curve_value_calls\":{},\"simd_backend\":",
+            r.nodes_refined, r.envelopes_built, r.curve_value_calls
         );
-        push_str_json(out, &r.simd_backend.to_string());
+        push_str_json(out, r.simd_backend);
         out.push('}');
     }
     #[cfg(not(feature = "stats"))]

@@ -20,8 +20,6 @@ use std::time::{Duration, Instant};
 use karl_geom::PointSet;
 
 use crate::bounds::BoundMethod;
-use crate::coreset::Coreset;
-use crate::error::KarlError;
 use crate::eval::{BallEvaluator, Evaluator, KdEvaluator, Query, RunOutcome};
 use crate::kernel::Kernel;
 
@@ -69,37 +67,6 @@ impl AnyEvaluator {
                 method,
                 leaf_capacity,
             )),
-        }
-    }
-
-    /// Attaches a certified coreset front tier to whichever family backs
-    /// this evaluator (see [`Evaluator::with_coreset_tier`]).
-    pub fn with_coreset_tier(
-        self,
-        coreset: &Coreset,
-        leaf_capacity: usize,
-    ) -> Result<Self, KarlError> {
-        Ok(match self {
-            AnyEvaluator::Kd(e) => AnyEvaluator::Kd(e.with_coreset_tier(coreset, leaf_capacity)?),
-            AnyEvaluator::Ball(e) => {
-                AnyEvaluator::Ball(e.with_coreset_tier(coreset, leaf_capacity)?)
-            }
-        })
-    }
-
-    /// Whether a coreset front tier is attached.
-    pub fn has_coreset_tier(&self) -> bool {
-        match self {
-            AnyEvaluator::Kd(e) => e.has_coreset_tier(),
-            AnyEvaluator::Ball(e) => e.has_coreset_tier(),
-        }
-    }
-
-    /// Heap bytes of the attached tier's frozen indexes, if any.
-    pub fn tier_footprint_bytes(&self) -> Option<usize> {
-        match self {
-            AnyEvaluator::Kd(e) => e.tier_footprint_bytes(),
-            AnyEvaluator::Ball(e) => e.tier_footprint_bytes(),
         }
     }
 

@@ -35,10 +35,8 @@ pub use buf::{AlignedBytes, AlignedVec, Buf, Pod, ARENA_ALIGN};
 pub use dist::{dist2, dot, norm2};
 pub use error::GeomError;
 pub use fused::{
-    ball_ball_dist, ball_ball_dist_nodes, ball_ball_ip, ball_ball_ip_nodes, ball_dist,
-    ball_dist_nodes, ball_ip, ball_ip_nodes, rect_dist, rect_dist_nodes, rect_ip, rect_ip_nodes,
-    rect_rect_dist, rect_rect_dist_nodes, rect_rect_ip, rect_rect_ip_nodes, BallQueryNode,
-    RectQueryNode,
+    ball_dist, ball_dist_nodes, ball_ip, ball_ip_nodes, rect_dist, rect_dist_nodes, rect_ip,
+    rect_ip_nodes,
 };
 pub use points::PointSet;
 pub use rect::Rect;

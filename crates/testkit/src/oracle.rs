@@ -28,37 +28,6 @@ where
     total
 }
 
-/// Largest absolute discrepancy `max_q |Σ wᵢ·k(q,aᵢ) − Σ vⱼ·k(q,bⱼ)|` over a
-/// probe set, by two direct summations per probe. This is the measured
-/// counterpart of a coreset's analytic error certificate: a certified
-/// `eps_c · Σ|w|` margin must upper-bound this value for *any* probe set,
-/// regardless of how the coreset was constructed.
-///
-/// `a` / `b` are `(rows, weights)` pairs of row-major flat buffers with
-/// `dims` coordinates per row; `probes` is a flat buffer of query points.
-pub fn max_probe_discrepancy<K>(
-    a: (&[f64], &[f64]),
-    b: (&[f64], &[f64]),
-    probes: &[f64],
-    dims: usize,
-    kernel: K,
-) -> f64
-where
-    K: Fn(&[f64], &[f64]) -> f64,
-{
-    assert!(dims > 0, "dims must be positive");
-    assert_eq!(a.0.len(), a.1.len() * dims, "side A rows/weights mismatch");
-    assert_eq!(b.0.len(), b.1.len() * dims, "side B rows/weights mismatch");
-    assert_eq!(probes.len() % dims, 0, "probe buffer not a multiple of dims");
-    let mut worst = 0.0f64;
-    for q in probes.chunks_exact(dims) {
-        let sa = exact_sum(a.0.chunks_exact(dims), a.1, q, &kernel);
-        let sb = exact_sum(b.0.chunks_exact(dims), b.1, q, &kernel);
-        worst = worst.max((sa - sb).abs());
-    }
-    worst
-}
-
 /// Squared Euclidean distance by the textbook loop.
 pub fn dist2_naive(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");

@@ -18,7 +18,7 @@
 //! bounds computed from a frozen node are bit-identical to bounds computed
 //! from the pointer node.
 
-use karl_geom::{Buf, PointSet};
+use karl_geom::Buf;
 
 use crate::tree::{NodeId, NodeShape, Tree};
 
@@ -216,14 +216,6 @@ impl FrozenTree {
         &self.weighted_sum
     }
 
-    /// The full per-node `W_R` buffer (`num_nodes`), for batched kernels
-    /// that index it by node id themselves — the dual-tree pair kernels
-    /// need the weight sum alongside `a_R` for every node in one pass.
-    #[inline]
-    pub fn weight_sums(&self) -> &[f64] {
-        &self.weight_sum
-    }
-
     /// The packed shape buffers.
     #[inline]
     pub fn shapes(&self) -> &FrozenShapes {
@@ -270,9 +262,7 @@ impl FrozenTree {
     }
 
     /// Total heap bytes held by the flat evaluation buffers (the sum of
-    /// [`footprint_sections`](Self::footprint_sections)). Lets callers
-    /// that stack a small front-tier tree on top of a full index (the
-    /// coreset cascade) report the extra footprint the tier costs.
+    /// [`footprint_sections`](Self::footprint_sections)).
     pub fn footprint_bytes(&self) -> usize {
         self.footprint_sections().iter().map(|(_, b)| b).sum()
     }
@@ -285,23 +275,11 @@ impl<S: NodeShape> Tree<S> {
     }
 }
 
-/// Convenience: freeze a tree built fresh over `points`/`weights` (used by
-/// tests and benchmarks).
-pub fn freeze_built<S: NodeShape>(
-    points: PointSet,
-    weights: &[f64],
-    leaf_capacity: usize,
-) -> (Tree<S>, FrozenTree) {
-    let tree = Tree::<S>::build(points, weights, leaf_capacity);
-    let frozen = tree.freeze();
-    (tree, frozen)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tree::{BallTree, KdTree};
-    use karl_geom::BoundingShape;
+    use karl_geom::{BoundingShape, PointSet};
     use karl_testkit::rng::{Rng, SeedableRng, StdRng};
 
     fn random_points(n: usize, d: usize, seed: u64) -> PointSet {
@@ -406,7 +384,7 @@ mod tests {
         // a_R (n*d), b_R (n); links/ranges/counts: 5 u32 buffers; depth u16.
         let expected = (2 * n * d + n + n * d + n) * 8 + 5 * n * 4 + n * 2;
         assert_eq!(frozen.footprint_bytes(), expected);
-        // A coreset-sized tree must be strictly smaller than the full one.
+        // A smaller tree must have a strictly smaller footprint.
         let small = KdTree::build(random_points(10, 3, 15), &[1.0; 10], 4).freeze();
         assert!(small.footprint_bytes() < frozen.footprint_bytes());
     }

@@ -28,7 +28,7 @@ pub mod stats;
 pub mod tree;
 
 pub use error::TreeError;
-pub use frozen::{freeze_built, FrozenShapes, FrozenTree, NO_CHILD};
+pub use frozen::{FrozenShapes, FrozenTree, NO_CHILD};
 pub use persist::{
     index_file_info, load_index_file, write_index_file, IndexFileInfo, LeafData, LoadedIndex,
     LoadedSide, PersistError, SectionInfo, SideImage,

@@ -34,15 +34,6 @@ echo "==> guard: mmap loader passes the round-trip suite (--features mmap)"
 cargo test -q --offline -p karl --features mmap --test index_persist_equivalence
 cargo test -q --offline -p karl-tree --features mmap
 
-echo "==> guard: envelope cache bitwise-neutral at KARL_THREADS=4"
-KARL_THREADS=4 cargo test -q --offline -p karl --test envelope_cache_equivalence
-
-echo "==> guard: dual-tree answers match the per-query engine at KARL_THREADS=4"
-KARL_THREADS=4 cargo test -q --offline -p karl --test dual_tree_equivalence
-
-echo "==> guard: coreset cascade answers match the plain engine at KARL_THREADS=4"
-KARL_THREADS=4 cargo test -q --offline -p karl --test coreset_cascade_equivalence
-
 echo "==> guard: SIMD backends bitwise-interchangeable (dispatched run)"
 cargo test -q --offline -p karl --test simd_equivalence
 

@@ -93,12 +93,14 @@ fn answers(transcript: &str) -> BTreeMap<u64, (String, Option<u64>)> {
 fn injected_panic_hits_one_dispatch_ordinal_and_nothing_else() {
     let eval = evaluator();
     let (script, ids) = script();
+    // The guard holds the injection lock across the baseline too, so no
+    // other test's plan can leak into it.
+    let guard = fault::inject(&[]);
     let baseline = answers(&run(&eval, 2, &script).0);
 
+    guard.set(&[(5, Fault::Panic)]);
     for threads in [1usize, 2, 4, 8] {
-        let _guard = fault::inject(&[(5usize, Fault::Panic)]);
         let (transcript, faulted) = run(&eval, threads, &script);
-        drop(_guard);
         assert_eq!(faulted, 1, "{threads} threads");
         let got = answers(&transcript);
         for (slot, id) in ids.iter().enumerate() {
