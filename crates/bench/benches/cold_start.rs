@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use karl_core::{
-    BoundMethod, Engine, Evaluator, IndexMeta, KdEvaluator, Kernel, Query, StorageCalibration,
+    BoundMethod, Evaluator, IndexMeta, KdEvaluator, Kernel, Query, StorageCalibration,
     StorageProfile,
 };
 use karl_geom::PointSet;
@@ -117,8 +117,8 @@ fn main() {
         let probe: Vec<f64> = points.point(n / 2).to_vec();
         let q = Query::Ekaq { eps: 0.1 };
         assert_eq!(
-            loaded.run_query_on(Engine::Frozen, &probe, q, None),
-            eval.run_query_on(Engine::Frozen, &probe, q, None),
+            loaded.run_query(&probe, q, None),
+            eval.run_query(&probe, q, None),
             "loaded index must answer bitwise identically"
         );
 

@@ -1,7 +1,6 @@
-//! Batch-engine throughput: sequential pointer-engine loop (baseline) vs
-//! the default frozen engine, scratch reuse, and the `QueryBatch`
-//! executor at 1/2/4/8 worker threads, over a synthetic 100 000-point
-//! Type-I workload.
+//! Batch-engine throughput: the sequential per-query loop (baseline) vs
+//! scratch reuse and the `QueryBatch` executor at 1/2/4/8 worker threads,
+//! over a synthetic 100 000-point Type-I workload.
 //!
 //! Unlike the other bench targets this one measures whole-batch wall
 //! clock (the quantity the batch engine optimizes), not per-call latency,
@@ -11,7 +10,7 @@
 
 use std::time::Instant;
 
-use karl_core::{BoundMethod, Engine, Evaluator, KdEvaluator, Kernel, Query, QueryBatch, Scratch};
+use karl_core::{BoundMethod, Evaluator, KdEvaluator, Kernel, Query, QueryBatch, Scratch};
 use karl_geom::PointSet;
 use karl_kde::scotts_gamma;
 use karl_testkit::bench::black_box;
@@ -71,20 +70,9 @@ fn run_workload(
 ) {
     let mut results = Vec::new();
 
-    // Pointer-engine baseline: the pre-freeze evaluation path, fresh
-    // buffers each call. Every speedup below is relative to this.
-    results.push(Measurement {
-        mode: "sequential_pointer",
-        threads: 1,
-        queries_per_s: measure(queries.len(), || {
-            for q in queries.iter() {
-                black_box(eval.run_query_on(Engine::Pointer, q, query, None));
-            }
-        }),
-    });
-
-    // Default (frozen-engine) per-query API, fresh buffers each call —
-    // exactly what a caller without the batch engine writes.
+    // The per-query API, fresh buffers each call — exactly what a caller
+    // without the batch engine writes. Every speedup below is relative to
+    // this.
     results.push(Measurement {
         mode: "sequential",
         threads: 1,
@@ -114,7 +102,7 @@ fn run_workload(
             mode: "batch",
             threads,
             queries_per_s: measure(queries.len(), || {
-                black_box(spec.run(eval));
+                black_box(spec.try_run(eval).expect("valid batch"));
             }),
         });
     }
@@ -193,7 +181,7 @@ fn main() {
             for (i, m) in results.iter().enumerate() {
                 json.push_str(&format!(
                     "      {{\"mode\": \"{}\", \"threads\": {}, \"queries_per_s\": {:.1}, \
-                     \"speedup_vs_sequential_pointer\": {:.3}}}{}\n",
+                     \"speedup_vs_sequential\": {:.3}}}{}\n",
                     m.mode,
                     m.threads,
                     m.queries_per_s,

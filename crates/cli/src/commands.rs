@@ -5,7 +5,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use karl_core::{
-    plan_for_storage, AnyEvaluator, BoundMethod, Budget, Engine, IndexKind, IndexMeta, Kernel,
+    plan_for_storage, AnyEvaluator, BoundMethod, Budget, IndexKind, IndexMeta, Kernel,
     OfflineTuner, Query, QueryBatch, Scan, ServeConfig, Server, StatsSnapshot, StorageCalibration,
     StorageProfile,
 };
@@ -92,10 +92,37 @@ fn gamma_for(p: &Parsed, points: &PointSet) -> Result<f64, String> {
     }
 }
 
+/// The query of a `kde`/`batch`/`tune` run: exactly one of the `flags`
+/// (`tau`, `eps`, `tol`) must be given, and its value must pass the
+/// library's parameter check ([`Query::validate`]).
+fn query_from_flags(p: &Parsed, flags: &[&str]) -> Result<Query, String> {
+    let names: Vec<String> = flags.iter().map(|f| format!("--{f}")).collect();
+    let (last, rest) = names.split_last().expect("at least one query flag");
+    let usage = format!("exactly one of {} or {last} is required", rest.join(", "));
+    let mut query = None;
+    for &flag in flags {
+        let Some(v) = p.get_parsed(flag, "a number").map_err(|e| e.to_string())? else {
+            continue;
+        };
+        if query.is_some() {
+            return Err(usage);
+        }
+        query = Some(match flag {
+            "tau" => Query::Tkaq { tau: v },
+            "eps" => Query::Ekaq { eps: v },
+            _ => Query::Within { tol: v },
+        });
+    }
+    let query = query.ok_or(usage)?;
+    query.validate().map_err(|e| e.to_string())?;
+    Ok(query)
+}
+
 /// `karl kde --data FILE --queries FILE (--tau T | --eps E) …`
 pub fn kde(p: &Parsed) -> CmdResult {
     p.expect_flags(&["data", "queries", "tau", "eps", "method", "leaf", "gamma"])
         .map_err(|e| e.to_string())?;
+    let query = query_from_flags(p, &["tau", "eps"])?;
     let data =
         load_csv(p.required("data").map_err(|e| e.to_string())?).map_err(|e| e.to_string())?;
     let queries =
@@ -112,8 +139,6 @@ pub fn kde(p: &Parsed) -> CmdResult {
         .get_or("leaf", 80, "a leaf capacity")
         .map_err(|e| e.to_string())?;
     let gamma = gamma_for(p, &data)?;
-    let tau: Option<f64> = p.get_parsed("tau", "a number").map_err(|e| e.to_string())?;
-    let eps: Option<f64> = p.get_parsed("eps", "a number").map_err(|e| e.to_string())?;
 
     let n = data.len();
     let weights = vec![1.0 / n as f64; n];
@@ -127,18 +152,18 @@ pub fn kde(p: &Parsed) -> CmdResult {
     );
     let mut out = String::with_capacity(queries.len() * 8);
     let start = Instant::now();
-    match (tau, eps) {
-        (Some(tau), None) => {
+    match query {
+        Query::Tkaq { tau } => {
             for q in queries.iter() {
                 out.push_str(if eval.tkaq(q, tau) { "1\n" } else { "0\n" });
             }
         }
-        (None, Some(eps)) => {
+        Query::Ekaq { eps } => {
             for q in queries.iter() {
                 let _ = writeln!(out, "{}", eval.ekaq(q, eps));
             }
         }
-        _ => return Err("exactly one of --tau or --eps is required".into()),
+        Query::Within { .. } => unreachable!("kde takes no --tol"),
     }
     let elapsed = start.elapsed();
     let _ = writeln!(
@@ -156,10 +181,8 @@ pub fn kde(p: &Parsed) -> CmdResult {
 ///
 /// Same queries and answers as `kde`, executed through the parallel
 /// [`QueryBatch`] engine. Worker count: `--threads` flag, else the
-/// `KARL_THREADS` environment variable, else `available_parallelism`.
-/// `--engine frozen|pointer` selects the evaluation index (default
-/// `frozen` — the SoA index with fused bound kernels); both engines and
-/// every thread count produce bitwise-identical answers.
+/// `KARL_THREADS` environment variable, else `available_parallelism`;
+/// every thread count produces bitwise-identical answers.
 ///
 /// `--budget-nodes` / `--budget-leaf` / `--deadline-ms` bound each
 /// query's refinement; a query that trips a budget answers from the
@@ -179,7 +202,6 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         "leaf",
         "gamma",
         "threads",
-        "engine",
         "stats",
         "budget-nodes",
         "budget-leaf",
@@ -188,6 +210,7 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         "stats-json",
     ])
     .map_err(|e| e.to_string())?;
+    let query = query_from_flags(p, &["tau", "eps", "tol"])?;
     // Resolve the SIMD backend before any kernel work (build or query);
     // backends are bitwise identical, so this changes speed, never bits.
     match p.get("simd") {
@@ -226,33 +249,9 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
             ));
         }
     }
-    let tau: Option<f64> = p.get_parsed("tau", "a number").map_err(|e| e.to_string())?;
-    let eps: Option<f64> = p.get_parsed("eps", "a number").map_err(|e| e.to_string())?;
-    let tol: Option<f64> = p.get_parsed("tol", "a number").map_err(|e| e.to_string())?;
-    let query = match (tau, eps, tol) {
-        (Some(tau), None, None) => Query::Tkaq { tau },
-        (None, Some(eps), None) => {
-            if eps <= 0.0 {
-                return Err("--eps must be positive".into());
-            }
-            Query::Ekaq { eps }
-        }
-        (None, None, Some(tol)) => {
-            if tol <= 0.0 {
-                return Err("--tol must be positive".into());
-            }
-            Query::Within { tol }
-        }
-        _ => return Err("exactly one of --tau, --eps or --tol is required".into()),
-    };
     let threads: Option<usize> = p
         .get_parsed("threads", "a thread count")
         .map_err(|e| e.to_string())?;
-    let engine = match p.get("engine") {
-        None | Some("frozen") => Engine::Frozen,
-        Some("pointer") => Engine::Pointer,
-        Some(other) => return Err(format!("unknown engine {other:?} (frozen|pointer)")),
-    };
     let want_stats = p.has("stats");
     #[cfg(not(feature = "stats"))]
     if want_stats {
@@ -286,12 +285,6 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
 
     let (eval, gamma, method, leaf) = match (index_path, &data) {
         (Some(path), _) => {
-            if engine == Engine::Pointer {
-                return Err(
-                    "--engine pointer is unavailable with --index (loaded indexes carry only the frozen representation)"
-                        .into(),
-                );
-            }
             let (eval, meta) =
                 AnyEvaluator::from_index_file(Path::new(path)).map_err(|e| e.to_string())?;
             if queries.dims() != eval.dims() {
@@ -330,9 +323,7 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
         (None, None) => unreachable!("data is loaded whenever --index is absent"),
     };
     let n = eval.len();
-    let mut spec = QueryBatch::new(&queries, query)
-        .engine(engine)
-        .budget(budget);
+    let mut spec = QueryBatch::new(&queries, query).budget(budget);
     if let Some(t) = threads {
         if t == 0 {
             return Err("--threads must be at least 1".into());
@@ -362,7 +353,7 @@ pub fn batch(p: &Parsed) -> Result<CmdOutput, String> {
     }
     let _ = writeln!(
         out,
-        "# throughput {:.0} queries/s over {} points (gamma {:.4}, {:?}, leaf {leaf}, threads {}, engine {engine:?}, simd {})",
+        "# throughput {:.0} queries/s over {} points (gamma {:.4}, {:?}, leaf {leaf}, threads {}, simd {})",
         report.throughput(),
         n,
         gamma,
@@ -631,18 +622,31 @@ fn index_build(p: &Parsed) -> CmdResult {
         Some(s) => StorageProfile::parse(s)
             .ok_or_else(|| format!("unknown profile {s:?} (memory|disk)"))?,
     };
-    let calibration = StorageCalibration::for_profile(profile);
-    let plan = plan_for_storage(data.len(), data.dims(), profile, calibration);
     let family = match p.get("family") {
-        None => plan.kind,
-        Some("kd") => IndexKind::Kd,
-        Some("ball") => IndexKind::Ball,
+        None => None,
+        Some("kd") => Some(IndexKind::Kd),
+        Some("ball") => Some(IndexKind::Ball),
         Some(other) => return Err(format!("unknown family {other:?} (kd|ball)")),
     };
-    let leaf: usize = p
+    let leaf: Option<usize> = p
         .get_parsed("leaf", "a leaf capacity")
-        .map_err(|e| e.to_string())?
-        .unwrap_or(plan.leaf_capacity);
+        .map_err(|e| e.to_string())?;
+    // The cost model only fills in what the flags leave open. With both
+    // pinned it is not consulted, and the metadata records the canned
+    // constants instead of a per-run measurement, so two builds of the
+    // same data write identical bytes.
+    let (family, leaf, calibration) = match (family, leaf) {
+        (Some(family), Some(leaf)) => (family, leaf, StorageCalibration::canned(profile)),
+        _ => {
+            let calibration = StorageCalibration::for_profile(profile);
+            let plan = plan_for_storage(data.len(), data.dims(), profile, calibration);
+            (
+                family.unwrap_or(plan.kind),
+                leaf.unwrap_or(plan.leaf_capacity),
+                calibration,
+            )
+        }
+    };
     if leaf == 0 || leaf > u32::MAX as usize {
         return Err("--leaf must be between 1 and 2^32-1".into());
     }
@@ -885,19 +889,13 @@ pub fn svm_predict(p: &Parsed) -> CmdResult {
 pub fn tune(p: &Parsed) -> CmdResult {
     p.expect_flags(&["data", "queries", "tau", "eps", "method", "gamma"])
         .map_err(|e| e.to_string())?;
+    let workload = query_from_flags(p, &["tau", "eps"])?;
     let data =
         load_csv(p.required("data").map_err(|e| e.to_string())?).map_err(|e| e.to_string())?;
     let queries =
         load_csv(p.required("queries").map_err(|e| e.to_string())?).map_err(|e| e.to_string())?;
     let method = parse_method(p)?;
     let gamma = gamma_for(p, &data)?;
-    let tau: Option<f64> = p.get_parsed("tau", "a number").map_err(|e| e.to_string())?;
-    let eps: Option<f64> = p.get_parsed("eps", "a number").map_err(|e| e.to_string())?;
-    let workload = match (tau, eps) {
-        (Some(tau), None) => Query::Tkaq { tau },
-        (None, Some(eps)) => Query::Ekaq { eps },
-        _ => return Err("exactly one of --tau or --eps is required".into()),
-    };
     let n = data.len();
     let weights = vec![1.0 / n as f64; n];
     let outcome = OfflineTuner::default().tune(

@@ -35,11 +35,9 @@ commands:
   batch     (--data FILE | --index FILE) --queries FILE
             (--tau T | --eps E | --tol W)
             [--method karl|sota] [--leaf CAP] [--gamma G] [--threads N]
-            [--engine frozen|pointer] [--stats]
-            [--budget-nodes N] [--budget-leaf P] [--deadline-ms MS]
-            [--simd auto|avx2|scalar] [--stats-json FILE]
+            [--stats] [--budget-nodes N] [--budget-leaf P]
+            [--deadline-ms MS] [--simd auto|avx2|scalar] [--stats-json FILE]
             parallel batch engine; KARL_THREADS env sets the default N;
-            frozen (default) is the SoA index, bitwise equal to pointer;
             --stats prints run counters (needs the `stats` build feature);
             budget flags bound each query's refinement (nodes refined,
             leaf points scanned, wall-clock deadline) — queries that hit
@@ -94,7 +92,9 @@ commands:
             family/leaf default to the storage-aware cost model for
             --profile (default memory, calibrated on this machine; disk
             uses canned cold-storage constants) — explicit --family or
-            --leaf override the model
+            --leaf override the model; with both given the model is not
+            consulted and the file records the canned constants, so two
+            builds of the same data are byte-identical
   index     info PATH
             print the header, decoded build metadata, and the per-section
             byte breakdown of an index file (validates the checksum)
@@ -202,6 +202,8 @@ mod tests {
             &["--dual"][..],
             &["--coreset", "0.1"],
             &["--envelope-cache", "on"],
+            &["--engine", "pointer"],
+            &["--engine", "frozen"],
         ] {
             let mut args = vec![
                 "batch",
@@ -337,61 +339,6 @@ mod tests {
                 assert!(parallel.lines().any(|l| l.starts_with("# throughput")));
             }
         }
-    }
-
-    #[test]
-    fn batch_engine_flag_selects_bitwise_equal_paths() {
-        let data = tmp("batch_engine.csv");
-        run_vec(&[
-            "generate",
-            "--name",
-            "home",
-            "--n",
-            "400",
-            "--out",
-            data.to_str().unwrap(),
-        ])
-        .unwrap();
-        let run_engine = |engine: &str| {
-            run_vec(&[
-                "batch",
-                "--data",
-                data.to_str().unwrap(),
-                "--queries",
-                data.to_str().unwrap(),
-                "--eps",
-                "0.15",
-                "--threads",
-                "2",
-                "--engine",
-                engine,
-            ])
-            .unwrap()
-        };
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with('#'))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        let frozen = run_engine("frozen");
-        let pointer = run_engine("pointer");
-        assert_eq!(strip(&frozen), strip(&pointer));
-        assert!(frozen.contains("engine Frozen"));
-        assert!(pointer.contains("engine Pointer"));
-        let err = run_vec(&[
-            "batch",
-            "--data",
-            data.to_str().unwrap(),
-            "--queries",
-            data.to_str().unwrap(),
-            "--eps",
-            "0.15",
-            "--engine",
-            "hybrid",
-        ])
-        .unwrap_err();
-        assert!(err.contains("frozen|pointer"));
     }
 
     #[test]
@@ -888,24 +835,79 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("--leaf conflicts with --index"), "{err}");
-        // The pointer engine cannot serve a loaded index.
-        let err = run_vec(&[
-            "batch",
-            "--index",
-            idx.to_str().unwrap(),
-            "--queries",
-            data.to_str().unwrap(),
-            "--eps",
-            "0.15",
-            "--engine",
-            "pointer",
-        ])
-        .unwrap_err();
-        assert!(err.contains("frozen"), "{err}");
         // Missing operands and stray positionals stay errors.
         assert!(run_vec(&["index", "build"]).is_err());
         assert!(run_vec(&["index"]).unwrap_err().contains("usage"));
         assert!(run_vec(&["kde", "x", "y"]).is_err());
+    }
+
+    #[test]
+    fn pinned_index_builds_are_byte_identical() {
+        let data = tmp("index_pinned.csv");
+        run_vec(&[
+            "generate",
+            "--name",
+            "home",
+            "--n",
+            "300",
+            "--out",
+            data.to_str().unwrap(),
+        ])
+        .unwrap();
+        let build = |name: &str| {
+            let idx = tmp(name);
+            run_vec(&[
+                "index",
+                "build",
+                data.to_str().unwrap(),
+                idx.to_str().unwrap(),
+                "--family",
+                "ball",
+                "--leaf",
+                "32",
+            ])
+            .unwrap();
+            std::fs::read(idx).unwrap()
+        };
+        let first = build("pinned_1.idx");
+        let second = build("pinned_2.idx");
+        assert!(first == second, "two pinned builds of the same data differ");
+    }
+
+    #[test]
+    fn invalid_query_parameters_are_command_errors() {
+        let data = tmp("query_params.csv");
+        run_vec(&[
+            "generate",
+            "--name",
+            "home",
+            "--n",
+            "60",
+            "--out",
+            data.to_str().unwrap(),
+        ])
+        .unwrap();
+        let data = data.to_str().unwrap();
+        // τ may be any number but NaN; ε and tol must be finite and > 0.
+        let valid = |flag: &str, value: &str| flag == "--tau" && value != "nan";
+        for (command, flags) in [
+            ("kde", &["--tau", "--eps"][..]),
+            ("batch", &["--tau", "--eps", "--tol"]),
+            ("tune", &["--tau", "--eps"]),
+        ] {
+            for &flag in flags {
+                for value in ["nan", "0", "inf", "-1"] {
+                    let args = [command, "--data", data, "--queries", data, flag, value];
+                    let result = run_vec(&args);
+                    if valid(flag, value) {
+                        assert!(result.is_ok(), "{args:?}: {result:?}");
+                    } else {
+                        let err = result.unwrap_err();
+                        assert!(err.contains(&flag[2..]), "{args:?}: {err}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,15 +10,18 @@
 //!   automatically.
 //! * **Allocation reuse** — each worker owns one [`Scratch`] (priority
 //!   queue storage + trace buffer) threaded through
-//!   [`Evaluator::run_with_scratch`], so the per-query hot path performs
+//!   [`Evaluator::run_budgeted`], so the per-query hot path performs
 //!   zero heap allocations once the buffers reach the workload's
 //!   high-water mark.
-//! * **Determinism** — every query's [`RunOutcome`] is written to its own
-//!   slot, each query is evaluated by exactly the same code path as the
-//!   sequential [`Evaluator::run_query`], and the heap's refinement order
-//!   is a pure function of the query (equal-gap ties break on node id).
-//!   A batch result is therefore **bitwise identical** to the sequential
-//!   loop, at any thread count.
+//! * **Fault containment** — every query runs inside `catch_unwind`, so a
+//!   poisoned query yields an `Err` in its own result slot and the rest
+//!   of the batch completes normally.
+//! * **Determinism** — every query's result is written to its own slot,
+//!   each query is evaluated by exactly the same code path as the
+//!   sequential [`Evaluator::run_budgeted`], and the heap's refinement
+//!   order is a pure function of the query (equal-gap ties break on node
+//!   id). A batch result is therefore **bitwise identical** to the
+//!   sequential loop, at any thread count.
 //!
 //! The thread count resolves in order: [`QueryBatch::threads`] override →
 //! `KARL_THREADS` environment variable → `available_parallelism`, and is
@@ -33,10 +36,16 @@
 //!     &points, &[1.0, 1.0], Kernel::gaussian(0.5), BoundMethod::Karl, 2);
 //! let queries = PointSet::from_rows(&[vec![0.0, 0.0], vec![5.0, 5.0]]);
 //!
-//! let out = QueryBatch::new(&queries, Query::Tkaq { tau: 1.0 })
+//! let report = QueryBatch::new(&queries, Query::Tkaq { tau: 1.0 })
 //!     .threads(2)
-//!     .run(&eval);
-//! assert_eq!(out.decisions(), vec![true, false]);
+//!     .try_run(&eval)
+//!     .unwrap();
+//! let answers: Vec<f64> = report
+//!     .results()
+//!     .iter()
+//!     .map(|r| report.answer(r.as_ref().unwrap()))
+//!     .collect();
+//! assert_eq!(answers, vec![1.0, 0.0]);
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,12 +54,10 @@ use std::time::{Duration, Instant};
 use karl_geom::PointSet;
 use karl_tree::NodeShape;
 
-use crate::error::{self, KarlError};
+use crate::error::KarlError;
 #[cfg(feature = "stats")]
 use crate::eval::RunStats;
-use crate::eval::{
-    decide_tkaq, estimate_ekaq, Budget, Engine, Evaluator, Outcome, Query, RunOutcome, Scratch,
-};
+use crate::eval::{decide_tkaq, estimate_ekaq, Budget, Evaluator, Outcome, Query, Scratch};
 use crate::tuning::AnyEvaluator;
 
 /// Queries are handed to workers in index chunks of this size: large enough
@@ -102,7 +109,6 @@ pub struct QueryBatch<'a> {
     query: Query,
     threads: Option<usize>,
     level_cap: Option<u16>,
-    engine: Engine,
     budget: Budget,
 }
 
@@ -121,13 +127,12 @@ impl<'a> QueryBatch<'a> {
     /// typed [`KarlError`] (`InvalidTau` / `InvalidEps` / `InvalidTol`)
     /// instead of panicking.
     pub fn try_new(queries: &'a PointSet, query: Query) -> Result<Self, KarlError> {
-        error::validate_spec(query)?;
+        query.validate()?;
         Ok(Self {
             queries,
             query,
             threads: None,
             level_cap: None,
-            engine: Engine::default(),
             budget: Budget::UNLIMITED,
         })
     }
@@ -150,91 +155,20 @@ impl<'a> QueryBatch<'a> {
         self
     }
 
-    /// Selects the evaluation engine (default [`Engine::Frozen`]). Both
-    /// engines are bitwise-identical; [`Engine::Pointer`] exists for
-    /// differential testing and perf comparison.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Applies a per-query refinement [`Budget`] (default unlimited).
-    /// Budgets are honored by [`try_run`](Self::try_run); queries that
-    /// exhaust theirs report `Outcome::Truncated` with the certified
-    /// interval at stop time. The legacy [`run`](Self::run) predates
-    /// budgets and panics if one is set.
+    /// Queries that exhaust theirs report `Outcome::Truncated` with the
+    /// certified interval at stop time.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
     }
 
-    /// Evaluates the batch against `eval`.
-    ///
-    /// Dimensionality is validated **once here for the whole batch**; the
-    /// per-query hot path ([`Evaluator::run_with_scratch_on`]) only
-    /// `debug_assert!`s it.
-    ///
-    /// # Panics
-    /// Panics if the query dimensionality does not match the evaluator's,
-    /// or if a worker thread panics.
-    pub fn run<S: NodeShape + Sync>(&self, eval: &Evaluator<S>) -> BatchOutcome {
-        assert_eq!(
-            self.queries.dims(),
-            eval.dims(),
-            "query dimensionality mismatch"
-        );
-        assert!(
-            self.budget.is_unlimited(),
-            "budgeted batches must use try_run (run cannot represent truncated outcomes)"
-        );
-        let n = self.queries.len();
-        let threads = resolve_threads(self.threads).min(n.max(1));
-        let start = Instant::now();
-        let (outcomes, scratches) = if threads <= 1 {
-            let mut scratch = Scratch::new();
-            let out = (0..n)
-                .map(|i| {
-                    eval.run_with_scratch_on(
-                        self.engine,
-                        self.queries.point(i),
-                        self.query,
-                        self.level_cap,
-                        &mut scratch,
-                    )
-                })
-                .collect();
-            (out, vec![scratch])
-        } else {
-            self.run_parallel(eval, n, threads)
-        };
-        let elapsed = start.elapsed();
-        #[cfg(feature = "stats")]
-        let stats = merged_stats(&scratches);
-        let _ = scratches;
-        BatchOutcome {
-            query: self.query,
-            threads,
-            elapsed,
-            outcomes,
-            #[cfg(feature = "stats")]
-            stats,
-        }
-    }
-
-    /// [`run`](Self::run) over a runtime-dispatched evaluator.
-    pub fn run_any(&self, eval: &AnyEvaluator) -> BatchOutcome {
-        match eval {
-            AnyEvaluator::Kd(e) => self.run(e),
-            AnyEvaluator::Ball(e) => self.run(e),
-        }
-    }
-
-    /// Fault-contained batch evaluation: every query runs through the
-    /// validated, budget-aware entry point inside `catch_unwind`, so one
-    /// poisoned query (non-finite point, or a panic in the refinement
-    /// loop) yields an `Err` in **its own result slot** while every other
-    /// query completes normally — with outcomes bitwise identical to an
-    /// all-healthy run.
+    /// Evaluates the batch against `eval`. Every query runs through the
+    /// validated, budget-aware [`Evaluator::run_budgeted`] inside
+    /// `catch_unwind`, so one poisoned query (non-finite point, or a panic
+    /// in the refinement loop) yields an `Err` in **its own result slot**
+    /// while every other query completes normally — with outcomes bitwise
+    /// identical to an all-healthy run.
     ///
     /// A worker whose query panicked discards its [`Scratch`] (the
     /// buffers may hold partially-updated state) and continues the batch
@@ -251,7 +185,7 @@ impl<'a> QueryBatch<'a> {
                 got: self.queries.dims(),
             });
         }
-        error::validate_spec(self.query)?;
+        self.query.validate()?;
         let n = self.queries.len();
         let threads = resolve_threads(self.threads).min(n.max(1));
         let start = Instant::now();
@@ -263,7 +197,7 @@ impl<'a> QueryBatch<'a> {
                 .collect();
             (out, vec![scratch], quarantined)
         } else {
-            self.try_run_parallel(eval, n, threads)
+            self.run_parallel(eval, n, threads)
         };
         let elapsed = start.elapsed();
         #[cfg(feature = "stats")]
@@ -314,14 +248,7 @@ impl<'a> QueryBatch<'a> {
                 }
                 None => q,
             };
-            eval.run_budgeted_with_scratch_on(
-                self.engine,
-                q,
-                self.query,
-                self.level_cap,
-                &self.budget,
-                scratch,
-            )
+            eval.run_budgeted(q, self.query, self.level_cap, &self.budget, scratch)
         }));
         match attempt {
             Ok(result) => result,
@@ -340,7 +267,7 @@ impl<'a> QueryBatch<'a> {
         }
     }
 
-    fn try_run_parallel<S: NodeShape + Sync>(
+    fn run_parallel<S: NodeShape + Sync>(
         &self,
         eval: &Evaluator<S>,
         n: usize,
@@ -366,12 +293,18 @@ impl<'a> QueryBatch<'a> {
                                     self.run_one_contained(eval, i, &mut scratch, &mut quarantined);
                                 local.push((i, r));
                             }
+                            // Bound the worker's memory between chunks: one
+                            // adversarial query must not ratchet allocations
+                            // for the rest of the batch. A no-op while every
+                            // buffer stays under the cap.
                             scratch.reset_with_capacity_cap(SCRATCH_CAP);
                         }
                         (local, scratch, quarantined)
                     })
                 })
                 .collect();
+            // Stitch the stolen chunks back into query order; this is what
+            // makes the results independent of scheduling.
             let mut out: Vec<Result<Outcome, KarlError>> = Vec::with_capacity(n);
             out.resize_with(n, || Err(KarlError::EmptyPoints));
             let mut scratches = Vec::with_capacity(threads);
@@ -389,170 +322,6 @@ impl<'a> QueryBatch<'a> {
             }
             (out, scratches, quarantined)
         })
-    }
-
-    fn run_parallel<S: NodeShape + Sync>(
-        &self,
-        eval: &Evaluator<S>,
-        n: usize,
-        threads: usize,
-    ) -> (Vec<RunOutcome>, Vec<Scratch>) {
-        let cursor = AtomicUsize::new(0);
-        let queries = self.queries;
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = Scratch::new();
-                        let mut local: Vec<(usize, RunOutcome)> =
-                            Vec::with_capacity(n / threads + CHUNK);
-                        loop {
-                            let lo = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                            if lo >= n {
-                                break;
-                            }
-                            let hi = (lo + CHUNK).min(n);
-                            for i in lo..hi {
-                                let out = eval.run_with_scratch_on(
-                                    self.engine,
-                                    queries.point(i),
-                                    self.query,
-                                    self.level_cap,
-                                    &mut scratch,
-                                );
-                                local.push((i, out));
-                            }
-                            // Bound the worker's memory between chunks: one
-                            // adversarial query must not ratchet allocations
-                            // for the rest of the batch. A no-op while every
-                            // buffer stays under the cap.
-                            scratch.reset_with_capacity_cap(SCRATCH_CAP);
-                        }
-                        (local, scratch)
-                    })
-                })
-                .collect();
-            // Stitch the stolen chunks back into query order; this is what
-            // makes the outcome independent of scheduling.
-            let mut out = vec![
-                RunOutcome {
-                    lb: 0.0,
-                    ub: 0.0,
-                    iterations: 0
-                };
-                n
-            ];
-            let mut scratches = Vec::with_capacity(threads);
-            for w in workers {
-                let (local, scratch) = w.join().expect("batch worker panicked");
-                for (i, r) in local {
-                    out[i] = r;
-                }
-                scratches.push(scratch);
-            }
-            (out, scratches)
-        })
-    }
-}
-
-/// Per-query bound outcomes of a batch run, plus execution statistics.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    query: Query,
-    threads: usize,
-    elapsed: Duration,
-    outcomes: Vec<RunOutcome>,
-    #[cfg(feature = "stats")]
-    stats: RunStats,
-}
-
-impl BatchOutcome {
-    /// Raw bound outcomes, in query order.
-    pub fn outcomes(&self) -> &[RunOutcome] {
-        &self.outcomes
-    }
-
-    /// Run counters summed across all workers (behind the `stats`
-    /// feature). Every counter is a pure function of the queries, so the
-    /// sums are identical at any thread count.
-    #[cfg(feature = "stats")]
-    pub fn stats(&self) -> RunStats {
-        self.stats
-    }
-
-    /// The query specification the batch answered.
-    pub fn query(&self) -> Query {
-        self.query
-    }
-
-    /// Worker threads the run actually used.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Wall-clock time of the run.
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    /// Queries answered per second.
-    pub fn throughput(&self) -> f64 {
-        self.outcomes.len() as f64 / self.elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Whether the batch held no queries.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// Total refinement iterations across the batch.
-    pub fn total_iterations(&self) -> usize {
-        self.outcomes.iter().map(|o| o.iterations).sum()
-    }
-
-    /// TKAQ decisions, in query order.
-    ///
-    /// # Panics
-    /// Panics if the batch was not a [`Query::Tkaq`] batch.
-    pub fn decisions(&self) -> Vec<bool> {
-        let Query::Tkaq { tau } = self.query else {
-            panic!("decisions() requires a TKAQ batch, got {:?}", self.query);
-        };
-        self.outcomes.iter().map(|o| decide_tkaq(o, tau)).collect()
-    }
-
-    /// Scalar answers, in query order: the eKAQ estimate, the Within
-    /// midpoint, or `1.0`/`0.0` for TKAQ decisions (matching
-    /// [`AnyEvaluator::answer`]).
-    pub fn estimates(&self) -> Vec<f64> {
-        match self.query {
-            Query::Tkaq { tau } => self
-                .outcomes
-                .iter()
-                .map(|o| if decide_tkaq(o, tau) { 1.0 } else { 0.0 })
-                .collect(),
-            Query::Ekaq { .. } => self.outcomes.iter().map(estimate_ekaq).collect(),
-            Query::Within { .. } => self.outcomes.iter().map(|o| 0.5 * (o.lb + o.ub)).collect(),
-        }
-    }
-
-    /// `(midpoint, half_width)` intervals, in query order.
-    ///
-    /// # Panics
-    /// Panics if the batch was not a [`Query::Within`] batch.
-    pub fn intervals(&self) -> Vec<(f64, f64)> {
-        let Query::Within { .. } = self.query else {
-            panic!("intervals() requires a Within batch, got {:?}", self.query);
-        };
-        self.outcomes
-            .iter()
-            .map(|o| (0.5 * (o.lb + o.ub), 0.5 * (o.ub - o.lb).max(0.0)))
-            .collect()
     }
 }
 
@@ -652,8 +421,9 @@ impl BatchReport {
     }
 
     /// Scalar answer for one successful outcome under this batch's query
-    /// spec, bit-for-bit equal to [`BatchOutcome::estimates`] on complete
-    /// outcomes. Truncated outcomes degrade to the certified-interval
+    /// spec: the TKAQ decision as `1.0`/`0.0`, the eKAQ estimate or the
+    /// Within midpoint, bit-for-bit equal to [`AnyEvaluator::answer`] on
+    /// complete outcomes. Truncated outcomes degrade to the certified-interval
     /// midpoint (eKAQ / Within) or to the midpoint decision (TKAQ — use
     /// [`Outcome::is_truncated`] to tell an honest decision apart).
     pub fn answer(&self, out: &Outcome) -> f64 {
@@ -722,6 +492,29 @@ mod tests {
             .collect()
     }
 
+    /// The sequential reference: one fresh-scratch run per query.
+    fn sequential<S: NodeShape>(
+        eval: &Evaluator<S>,
+        queries: &PointSet,
+        query: Query,
+        level_cap: Option<u16>,
+    ) -> Vec<Result<Outcome, KarlError>> {
+        queries
+            .iter()
+            .map(|q| {
+                eval.run_budgeted(q, query, level_cap, &Budget::UNLIMITED, &mut Scratch::new())
+            })
+            .collect()
+    }
+
+    fn answers(report: &BatchReport) -> Vec<f64> {
+        report
+            .results()
+            .iter()
+            .map(|r| report.answer(r.as_ref().unwrap()))
+            .collect()
+    }
+
     #[test]
     fn batch_matches_sequential_for_every_thread_count() {
         let ps = clustered_points(400, 3, 1);
@@ -733,13 +526,16 @@ mod tests {
             Query::Ekaq { eps: 0.15 },
             Query::Within { tol: 0.05 },
         ] {
-            let sequential: Vec<RunOutcome> = queries
-                .iter()
-                .map(|q| eval.run_query(q, query, None))
-                .collect();
+            let expect = sequential(&eval, &queries, query, None);
+            for (r, q) in expect.iter().zip(queries.iter()) {
+                assert_eq!(*r, Ok(Outcome::Complete(eval.run_query(q, query, None))));
+            }
             for threads in [1, 2, 4, 8] {
-                let batch = QueryBatch::new(&queries, query).threads(threads).run(&eval);
-                assert_eq!(batch.outcomes(), &sequential[..], "{query:?} x{threads}");
+                let batch = QueryBatch::new(&queries, query)
+                    .threads(threads)
+                    .try_run(&eval)
+                    .unwrap();
+                assert_eq!(batch.results(), &expect[..], "{query:?} x{threads}");
                 assert!(batch.threads() <= threads);
             }
         }
@@ -757,12 +553,26 @@ mod tests {
             (0..32).flat_map(|i| base.point(i % 8).to_vec()).collect(),
         );
         let query = Query::Ekaq { eps: 0.1 };
-        let seq = QueryBatch::new(&queries, query).threads(1).run(&eval);
-        let par = QueryBatch::new(&queries, query).threads(4).run(&eval);
+        let seq = QueryBatch::new(&queries, query)
+            .threads(1)
+            .try_run(&eval)
+            .unwrap();
+        let par = QueryBatch::new(&queries, query)
+            .threads(4)
+            .try_run(&eval)
+            .unwrap();
+        let total_iterations: u64 = seq
+            .results()
+            .iter()
+            .map(|r| match r {
+                Ok(Outcome::Complete(o)) => o.iterations as u64,
+                other => panic!("unexpected result {other:?}"),
+            })
+            .sum();
         // Refinement work is a pure function of the queries.
         assert_eq!(
             seq.stats().nodes_refined,
-            seq.total_iterations() as u64,
+            total_iterations,
             "nodes_refined counts heap pops"
         );
         assert_eq!(seq.stats().nodes_refined, par.stats().nodes_refined);
@@ -772,35 +582,18 @@ mod tests {
     }
 
     #[test]
-    fn pointer_engine_batch_matches_frozen_default() {
-        let ps = clustered_points(240, 3, 30);
-        let w = mixed_weights(240, 31);
-        let eval = Evaluator::<Rect>::build(&ps, &w, Kernel::gaussian(0.5), BoundMethod::Karl, 8);
-        let queries = clustered_points(40, 3, 32);
-        let query = Query::Ekaq { eps: 0.1 };
-        let frozen = QueryBatch::new(&queries, query).threads(2).run(&eval);
-        let pointer = QueryBatch::new(&queries, query)
-            .engine(Engine::Pointer)
-            .threads(2)
-            .run(&eval);
-        assert_eq!(frozen.outcomes(), pointer.outcomes());
-    }
-
-    #[test]
     fn batch_works_over_ball_trees_and_any_evaluator() {
         let ps = clustered_points(200, 2, 4);
         let w = vec![1.0; 200];
         let kernel = Kernel::gaussian(0.5);
         let ball = Evaluator::<Ball>::build(&ps, &w, kernel, BoundMethod::Karl, 16);
         let queries = clustered_points(20, 2, 5);
-        let batch = QueryBatch::new(&queries, Query::Ekaq { eps: 0.1 });
-        let direct = batch.threads(3).run(&ball);
+        let batch = QueryBatch::new(&queries, Query::Ekaq { eps: 0.1 }).threads(3);
+        let direct = batch.try_run(&ball).unwrap();
         let any = AnyEvaluator::Ball(ball);
-        let dispatched = QueryBatch::new(&queries, Query::Ekaq { eps: 0.1 })
-            .threads(3)
-            .run_any(&any);
-        assert_eq!(direct.outcomes(), dispatched.outcomes());
-        for (est, q) in dispatched.estimates().iter().zip(queries.iter()) {
+        let dispatched = batch.try_run_any(&any).unwrap();
+        assert_eq!(direct.results(), dispatched.results());
+        for (est, q) in answers(&dispatched).iter().zip(queries.iter()) {
             assert_eq!(*est, any.ekaq(q, 0.1));
         }
     }
@@ -811,13 +604,17 @@ mod tests {
         let w = mixed_weights(150, 7);
         let eval = Evaluator::<Rect>::build(&ps, &w, Kernel::gaussian(0.8), BoundMethod::Karl, 8);
         let queries = clustered_points(30, 2, 8);
-        let out = QueryBatch::new(&queries, Query::Tkaq { tau: 0.1 })
+        let report = QueryBatch::new(&queries, Query::Tkaq { tau: 0.1 })
             .threads(4)
-            .run(&eval);
-        let expect: Vec<bool> = queries.iter().map(|q| eval.tkaq(q, 0.1)).collect();
-        assert_eq!(out.decisions(), expect);
-        assert_eq!(out.len(), 30);
-        assert!(out.total_iterations() > 0);
+            .try_run(&eval)
+            .unwrap();
+        let expect: Vec<f64> = queries
+            .iter()
+            .map(|q| if eval.tkaq(q, 0.1) { 1.0 } else { 0.0 })
+            .collect();
+        assert_eq!(answers(&report), expect);
+        assert_eq!(report.len(), 30);
+        assert_eq!(report.completed_count(), 30);
     }
 
     #[test]
@@ -826,12 +623,15 @@ mod tests {
         let w = mixed_weights(200, 10);
         let eval = Evaluator::<Rect>::build(&ps, &w, Kernel::gaussian(0.9), BoundMethod::Karl, 8);
         let queries = clustered_points(15, 2, 11);
-        let out = QueryBatch::new(&queries, Query::Within { tol: 0.02 })
+        let report = QueryBatch::new(&queries, Query::Within { tol: 0.02 })
             .threads(2)
-            .run(&eval);
-        for (mid, half) in out.intervals() {
-            assert!(half <= 0.01 + 1e-12);
-            assert!(mid.is_finite());
+            .try_run(&eval)
+            .unwrap();
+        for r in report.results() {
+            let o = r.as_ref().unwrap();
+            assert!(!o.is_truncated());
+            assert!(0.5 * (o.ub() - o.lb()) <= 0.01 + 1e-12);
+            assert!(report.answer(o).is_finite());
         }
     }
 
@@ -841,15 +641,16 @@ mod tests {
         let w = vec![1.0; 128];
         let eval = Evaluator::<Rect>::build(&ps, &w, Kernel::gaussian(0.7), BoundMethod::Karl, 1);
         let queries = clustered_points(10, 2, 13);
-        let out = QueryBatch::new(&queries, Query::Ekaq { eps: 0.1 })
+        let query = Query::Ekaq { eps: 0.1 };
+        let report = QueryBatch::new(&queries, query)
             .level_cap(2)
             .threads(2)
-            .run(&eval);
-        let expect: Vec<RunOutcome> = queries
-            .iter()
-            .map(|q| eval.run_query(q, Query::Ekaq { eps: 0.1 }, Some(2)))
-            .collect();
-        assert_eq!(out.outcomes(), &expect[..]);
+            .try_run(&eval)
+            .unwrap();
+        assert_eq!(
+            report.results(),
+            &sequential(&eval, &queries, query, Some(2))[..]
+        );
     }
 
     #[test]
@@ -858,21 +659,30 @@ mod tests {
         let eval =
             Evaluator::<Rect>::build(&ps, &[1.0; 10], Kernel::gaussian(1.0), BoundMethod::Karl, 4);
         let queries = PointSet::empty(2);
-        let out = QueryBatch::new(&queries, Query::Tkaq { tau: 0.5 })
+        let report = QueryBatch::new(&queries, Query::Tkaq { tau: 0.5 })
             .threads(4)
-            .run(&eval);
-        assert!(out.is_empty());
-        assert_eq!(out.decisions(), Vec::<bool>::new());
+            .try_run(&eval)
+            .unwrap();
+        assert!(report.is_empty());
+        assert!(!report.has_failures());
     }
 
     #[test]
-    #[should_panic]
-    fn dimension_mismatch_panics_at_batch_entry() {
+    fn dimension_mismatch_is_rejected_at_batch_entry() {
         let ps = clustered_points(10, 3, 15);
         let eval =
             Evaluator::<Rect>::build(&ps, &[1.0; 10], Kernel::gaussian(1.0), BoundMethod::Karl, 4);
         let queries = clustered_points(5, 2, 16);
-        QueryBatch::new(&queries, Query::Tkaq { tau: 0.5 }).run(&eval);
+        let err = QueryBatch::new(&queries, Query::Tkaq { tau: 0.5 })
+            .try_run(&eval)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            KarlError::DimMismatch {
+                expected: 3,
+                got: 2
+            }
+        );
     }
 
     #[test]

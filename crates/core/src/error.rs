@@ -135,9 +135,6 @@ pub enum KarlError {
         /// Bytes actually present.
         got: u64,
     },
-    /// The pointer engine was requested on an evaluator restored from a
-    /// persistent index, which carries only the frozen representation.
-    PointerEngineUnavailable,
     /// The serving admission queue was at its high watermark, so the
     /// request was rejected instead of queued (degrade, never collapse:
     /// the client gets a typed rejection it can retry, not an unbounded
@@ -213,10 +210,6 @@ impl fmt::Display for KarlError {
             KarlError::Truncated { needed, got } => {
                 write!(f, "index file truncated: need {needed} bytes, found {got}")
             }
-            KarlError::PointerEngineUnavailable => write!(
-                f,
-                "pointer engine unavailable: loaded indexes carry only the frozen representation"
-            ),
             KarlError::Overloaded { capacity } => {
                 write!(f, "admission queue full (capacity {capacity})")
             }
@@ -337,22 +330,6 @@ pub(crate) fn validate_query(q: &[f64], dims: usize) -> Result<(), KarlError> {
         }
     }
     Ok(())
-}
-
-/// Validates a query spec's parameter (`τ`/`ε`/`tol`).
-pub(crate) fn validate_spec(query: crate::eval::Query) -> Result<(), KarlError> {
-    match query {
-        crate::eval::Query::Tkaq { tau } if tau.is_nan() => {
-            Err(KarlError::InvalidTau { value: tau })
-        }
-        crate::eval::Query::Ekaq { eps } if !(eps.is_finite() && eps > 0.0) => {
-            Err(KarlError::InvalidEps { value: eps })
-        }
-        crate::eval::Query::Within { tol } if !(tol.is_finite() && tol > 0.0) => {
-            Err(KarlError::InvalidTol { value: tol })
-        }
-        _ => Ok(()),
-    }
 }
 
 #[cfg(test)]

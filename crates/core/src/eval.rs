@@ -24,28 +24,10 @@ use karl_geom::{norm2, PointSet};
 use karl_tree::{FrozenTree, LeafData, NodeId, NodeShape, SideImage, Tree};
 
 use crate::bounds::{
-    assemble_interval, node_bounds, node_intervals_frozen, BoundMethod, BoundPair, NodeInterval,
-    QueryContext,
+    assemble_interval, node_intervals_frozen, BoundMethod, BoundPair, NodeInterval, QueryContext,
 };
 use crate::error::{self, KarlError};
 use crate::kernel::Kernel;
-
-/// Which evaluation index [`Evaluator`] routes a query through.
-///
-/// Both engines walk the same refinement loop with the same bound values
-/// and produce bitwise-identical outcomes and traces (enforced by
-/// `tests/frozen_equivalence.rs`); they differ only in memory layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The frozen SoA index with fused per-node bound kernels — the
-    /// default evaluation path.
-    #[default]
-    Frozen,
-    /// The pointer-style node arena the trees are built as. Retained for
-    /// construction and introspection, and as the differential-testing
-    /// oracle for the frozen path.
-    Pointer,
-}
 
 /// One recorded refinement step, for the convergence traces of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,6 +63,24 @@ pub enum Query {
     },
 }
 
+impl Query {
+    /// Checks the query's parameter: `τ` must not be NaN, `ε` and `tol`
+    /// must be finite and positive. Typed [`KarlError::InvalidTau`] /
+    /// [`KarlError::InvalidEps`] / [`KarlError::InvalidTol`] otherwise.
+    pub fn validate(self) -> Result<(), KarlError> {
+        match self {
+            Query::Tkaq { tau } if tau.is_nan() => Err(KarlError::InvalidTau { value: tau }),
+            Query::Ekaq { eps } if !(eps.is_finite() && eps > 0.0) => {
+                Err(KarlError::InvalidEps { value: eps })
+            }
+            Query::Within { tol } if !(tol.is_finite() && tol > 0.0) => {
+                Err(KarlError::InvalidTol { value: tol })
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Outcome of one evaluator run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOutcome {
@@ -108,8 +108,8 @@ const DEADLINE_STRIDE: usize = 64;
 /// [`DEADLINE_STRIDE`] refinements; `Instant::now` is only ever called
 /// when a deadline is set). Exhaustion yields
 /// [`Outcome::Truncated`] carrying the interval at stop time; whenever the
-/// budget is *not* hit, results are bitwise identical to the unbudgeted
-/// entry points.
+/// budget is *not* hit, [`Evaluator::run_budgeted`] returns bitwise the
+/// outcome of [`Evaluator::run_query`].
 ///
 /// Truncation granularity: the budget is consulted at the top of the loop,
 /// so the final refinement before the stop completes in full (one node, or
@@ -389,11 +389,11 @@ impl RunStats {
     }
 }
 
-/// Reusable per-query workspace for [`Evaluator::run_with_scratch`]: the
-/// priority-queue storage (which doubles as the entry pool — `BinaryHeap`
-/// keeps its backing buffer across [`clear`](BinaryHeap::clear)), the
-/// trace buffer, and the frontier/interval buffers of the two-pass bound
-/// kernel. After the first few queries have grown the buffers to the
+/// Reusable per-query workspace for [`Evaluator::run_with_scratch`] and
+/// [`Evaluator::run_budgeted`]: the priority-queue storage (which doubles
+/// as the entry pool — `BinaryHeap` keeps its backing buffer across
+/// [`clear`](BinaryHeap::clear)), the trace buffer, and the
+/// frontier/interval buffers of the two-pass bound kernel. After the first few queries have grown the buffers to the
 /// workload's high-water mark, evaluation performs no heap allocation.
 ///
 /// One `Scratch` per worker thread is the intended usage; see
@@ -471,15 +471,14 @@ pub struct Evaluator<S: NodeShape> {
 /// tree (which owns its reordered point buffers), or the bare leaf
 /// buffers restored zero-copy from a persistent index.
 ///
-/// Both the frozen and the pointer refinement loop read only
-/// `points`/`weights`/`norms2` at the leaves; the pointer engine
-/// additionally needs the node arena and is therefore only available on
-/// [`Built`](SideData::Built) sides.
+/// The refinement loop reads only `points`/`weights`/`norms2` at the
+/// leaves; the node arena of a [`Built`](SideData::Built) side is kept for
+/// introspection ([`Evaluator::pos_tree`]).
 #[derive(Debug, Clone)]
 enum SideData<S: NodeShape> {
-    /// A tree built in this process; the pointer engine can walk it.
+    /// A tree built in this process.
     Built(Tree<S>),
-    /// Leaf buffers loaded from an index file; frozen engine only.
+    /// Leaf buffers loaded from an index file.
     Loaded(LeafData),
 }
 
@@ -773,14 +772,6 @@ impl<S: NodeShape> Evaluator<S> {
         self.neg.as_ref().and_then(SideData::tree)
     }
 
-    /// Whether the pointer engine can run: every present side must carry
-    /// its built pointer tree. Sides restored from a persistent index are
-    /// frozen-only.
-    pub fn pointer_available(&self) -> bool {
-        self.pos.as_ref().is_none_or(|s| s.tree().is_some())
-            && self.neg.as_ref().is_none_or(|s| s.tree().is_some())
-    }
-
     /// The frozen SoA index of the positive-weight tree, if any.
     pub fn pos_frozen(&self) -> Option<&FrozenTree> {
         self.pos_frozen.as_ref()
@@ -811,15 +802,7 @@ impl<S: NodeShape> Evaluator<S> {
 
     /// Threshold query: `F_P(q) ≥ τ`?
     pub fn tkaq(&self, q: &[f64], tau: f64) -> bool {
-        let out = self.run(q, Query::Tkaq { tau }, None);
-        decide_tkaq(&out, tau)
-    }
-
-    /// Threshold query restricted to the top `level` tree levels (the
-    /// simulated tree `T_level` of the in-situ tuning, Section III-C).
-    pub fn tkaq_at_level(&self, q: &[f64], tau: f64, level: u16) -> bool {
-        let out = self.run(q, Query::Tkaq { tau }, Some(level));
-        decide_tkaq(&out, tau)
+        decide_tkaq(&self.run_query(q, Query::Tkaq { tau }, None), tau)
     }
 
     /// Approximate query: returns `F̂` with `(1−ε)F ≤ F̂ ≤ (1+ε)F`
@@ -830,15 +813,7 @@ impl<S: NodeShape> Evaluator<S> {
     /// Panics unless `eps > 0`.
     pub fn ekaq(&self, q: &[f64], eps: f64) -> f64 {
         assert!(eps > 0.0, "eps must be positive");
-        let out = self.run(q, Query::Ekaq { eps }, None);
-        estimate_ekaq(&out)
-    }
-
-    /// Approximate query restricted to the top `level` tree levels.
-    pub fn ekaq_at_level(&self, q: &[f64], eps: f64, level: u16) -> f64 {
-        assert!(eps > 0.0, "eps must be positive");
-        let out = self.run(q, Query::Ekaq { eps }, Some(level));
-        estimate_ekaq(&out)
+        estimate_ekaq(&self.run_query(q, Query::Ekaq { eps }, None))
     }
 
     /// Absolute-gap query: returns `(F̂, half_width)` with
@@ -849,101 +824,62 @@ impl<S: NodeShape> Evaluator<S> {
     /// Panics unless `tol > 0`.
     pub fn within(&self, q: &[f64], tol: f64) -> (f64, f64) {
         assert!(tol > 0.0, "tol must be positive");
-        let out = self.run(q, Query::Within { tol }, None);
+        let out = self.run_query(q, Query::Within { tol }, None);
         (0.5 * (out.lb + out.ub), 0.5 * (out.ub - out.lb).max(0.0))
     }
 
     /// Runs a threshold query recording the bound trajectory (Figure 6).
     pub fn trace_tkaq(&self, q: &[f64], tau: f64) -> (bool, Vec<TraceStep>) {
-        let (out, trace) = self.trace_run_on(Engine::default(), q, Query::Tkaq { tau });
+        let (out, trace) = self.trace_run(q, Query::Tkaq { tau });
         (decide_tkaq(&out, tau), trace)
     }
 
-    /// Runs an approximate query recording the bound trajectory.
-    pub fn trace_ekaq(&self, q: &[f64], eps: f64) -> (f64, Vec<TraceStep>) {
-        assert!(eps > 0.0, "eps must be positive");
-        let (out, trace) = self.trace_run_on(Engine::default(), q, Query::Ekaq { eps });
-        (estimate_ekaq(&out), trace)
-    }
-
-    /// Runs a query on a chosen engine, recording the bound trajectory.
-    /// The differential entry point of `tests/frozen_equivalence.rs`.
-    pub fn trace_run_on(
-        &self,
-        engine: Engine,
-        q: &[f64],
-        query: Query,
-    ) -> (RunOutcome, Vec<TraceStep>) {
+    /// Runs a query recording the bound trajectory, one [`TraceStep`] per
+    /// refinement iteration (step 0 holds the root bounds).
+    pub fn trace_run(&self, q: &[f64], query: Query) -> (RunOutcome, Vec<TraceStep>) {
         self.check_query(q);
         let mut scratch = Scratch::new();
-        let (out, _) = self.run_core_on(
-            engine,
-            q,
-            query,
-            None,
-            &mut scratch,
-            true,
-            &Budget::UNLIMITED,
-        );
+        let (out, _) = self.run_core(q, query, None, &mut scratch, true, &Budget::UNLIMITED);
         (out, std::mem::take(&mut scratch.trace))
     }
 
     /// Runs a query and returns the raw bound outcome (used by the harness
     /// and the tuners; `level_cap` simulates the top-`level` tree).
+    ///
+    /// # Panics
+    /// Panics if the query dimensionality does not match the evaluator's.
     pub fn run_query(&self, q: &[f64], query: Query, level_cap: Option<u16>) -> RunOutcome {
-        self.run(q, query, level_cap)
+        self.check_query(q);
+        self.run_with_scratch(q, query, level_cap, &mut Scratch::new())
     }
 
-    /// Validating variant of [`run_query`](Self::run_query): rejects a
-    /// wrong-dimensional or non-finite query point and invalid query
-    /// parameters with a typed [`KarlError`] instead of panicking.
-    pub fn try_run_query(
+    /// [`run_query`](Self::run_query) with caller-owned scratch buffers:
+    /// after the buffers have grown to the workload's high-water mark, the
+    /// query path performs zero heap allocations. The outcome is
+    /// bit-identical to [`run_query`](Self::run_query).
+    ///
+    /// Dimensionality is only `debug_assert!`ed here; the validated
+    /// counterpart is [`run_budgeted`](Self::run_budgeted).
+    pub fn run_with_scratch(
         &self,
         q: &[f64],
         query: Query,
         level_cap: Option<u16>,
-    ) -> Result<RunOutcome, KarlError> {
-        error::validate_query(q, self.dims)?;
-        error::validate_spec(query)?;
-        let (out, _) = self.run_core_on(
-            Engine::default(),
-            q,
-            query,
-            level_cap,
-            &mut Scratch::new(),
-            false,
-            &Budget::UNLIMITED,
-        );
-        Ok(out)
+        scratch: &mut Scratch,
+    ) -> RunOutcome {
+        self.run_core(q, query, level_cap, scratch, false, &Budget::UNLIMITED)
+            .0
     }
 
-    /// Runs a query under a [`Budget`]. Whenever the budget is not hit the
-    /// result is `Outcome::Complete` and bitwise identical to
-    /// [`run_query`](Self::run_query); otherwise the loop stops at the cap
-    /// and returns the certified interval it had at that moment.
+    /// The validated, budget-aware entry point — the one the batch engine
+    /// runs per query. Rejects a wrong-dimensional or non-finite query
+    /// point and an invalid query parameter with a typed [`KarlError`].
+    /// Whenever the budget is not hit the result is `Outcome::Complete`
+    /// and bitwise identical to [`run_query`](Self::run_query); otherwise
+    /// the loop stops at the cap and returns the certified interval it had
+    /// at that moment.
     pub fn run_budgeted(
         &self,
-        q: &[f64],
-        query: Query,
-        level_cap: Option<u16>,
-        budget: &Budget,
-    ) -> Result<Outcome, KarlError> {
-        self.run_budgeted_with_scratch_on(
-            Engine::default(),
-            q,
-            query,
-            level_cap,
-            budget,
-            &mut Scratch::new(),
-        )
-    }
-
-    /// [`run_budgeted`](Self::run_budgeted) on a chosen engine with
-    /// caller-owned scratch — the validated, budget-aware hot entry point
-    /// of the fault-contained batch engine.
-    pub fn run_budgeted_with_scratch_on(
-        &self,
-        engine: Engine,
         q: &[f64],
         query: Query,
         level_cap: Option<u16>,
@@ -951,12 +887,8 @@ impl<S: NodeShape> Evaluator<S> {
         scratch: &mut Scratch,
     ) -> Result<Outcome, KarlError> {
         error::validate_query(q, self.dims)?;
-        error::validate_spec(query)?;
-        if engine == Engine::Pointer && !self.pointer_available() {
-            return Err(KarlError::PointerEngineUnavailable);
-        }
-        let (out, truncated) =
-            self.run_core_on(engine, q, query, level_cap, scratch, false, budget);
+        query.validate()?;
+        let (out, truncated) = self.run_core(q, query, level_cap, scratch, false, budget);
         Ok(match truncated {
             None => Outcome::Complete(out),
             Some(reason) => Outcome::Truncated {
@@ -977,7 +909,7 @@ impl<S: NodeShape> Evaluator<S> {
         tau: f64,
         budget: &Budget,
     ) -> Result<TkaqDecision, KarlError> {
-        match self.run_budgeted(q, Query::Tkaq { tau }, None, budget)? {
+        match self.run_budgeted(q, Query::Tkaq { tau }, None, budget, &mut Scratch::new())? {
             Outcome::Complete(out) => Ok(TkaqDecision::Decided(decide_tkaq(&out, tau))),
             // The budget check runs only while the bounds are still
             // straddling τ (the termination test fires first), so a
@@ -995,7 +927,7 @@ impl<S: NodeShape> Evaluator<S> {
         eps: f64,
         budget: &Budget,
     ) -> Result<Estimate, KarlError> {
-        match self.run_budgeted(q, Query::Ekaq { eps }, None, budget)? {
+        match self.run_budgeted(q, Query::Ekaq { eps }, None, budget, &mut Scratch::new())? {
             Outcome::Complete(out) => {
                 let value = estimate_ekaq(&out);
                 Ok(Estimate {
@@ -1019,148 +951,13 @@ impl<S: NodeShape> Evaluator<S> {
         }
     }
 
-    /// [`run_query`](Self::run_query) on a chosen engine.
-    pub fn run_query_on(
-        &self,
-        engine: Engine,
-        q: &[f64],
-        query: Query,
-        level_cap: Option<u16>,
-    ) -> RunOutcome {
-        self.check_query(q);
-        self.run_core_on(
-            engine,
-            q,
-            query,
-            level_cap,
-            &mut Scratch::new(),
-            false,
-            &Budget::UNLIMITED,
-        )
-        .0
-    }
-
-    /// [`run_query`](Self::run_query) with caller-owned scratch buffers:
-    /// after the buffers have grown to the workload's high-water mark, the
-    /// query path performs zero heap allocations. This is the hot entry
-    /// point of the batch engine (one [`Scratch`] per worker thread); the
-    /// outcome is bit-identical to [`run_query`](Self::run_query).
-    ///
-    /// Dimensionality is only `debug_assert!`ed here — callers (like
-    /// [`crate::batch::QueryBatch`]) validate once per batch, not once per
-    /// query.
-    pub fn run_with_scratch(
-        &self,
-        q: &[f64],
-        query: Query,
-        level_cap: Option<u16>,
-        scratch: &mut Scratch,
-    ) -> RunOutcome {
-        self.run_core_on(
-            Engine::default(),
-            q,
-            query,
-            level_cap,
-            scratch,
-            false,
-            &Budget::UNLIMITED,
-        )
-        .0
-    }
-
-    /// [`run_with_scratch`](Self::run_with_scratch) on a chosen engine.
-    pub fn run_with_scratch_on(
-        &self,
-        engine: Engine,
-        q: &[f64],
-        query: Query,
-        level_cap: Option<u16>,
-        scratch: &mut Scratch,
-    ) -> RunOutcome {
-        self.run_core_on(
-            engine,
-            q,
-            query,
-            level_cap,
-            scratch,
-            false,
-            &Budget::UNLIMITED,
-        )
-        .0
-    }
-
     fn check_query(&self, q: &[f64]) {
         assert_eq!(q.len(), self.dims, "query dimensionality mismatch");
     }
 
-    fn run(&self, q: &[f64], query: Query, level_cap: Option<u16>) -> RunOutcome {
-        self.check_query(q);
-        self.run_core_on(
-            Engine::default(),
-            q,
-            query,
-            level_cap,
-            &mut Scratch::new(),
-            false,
-            &Budget::UNLIMITED,
-        )
-        .0
-    }
-
-    /// [`trace_run_on`](Self::trace_run_on) with caller-owned scratch: the
-    /// trajectory lands in [`Scratch::trace`], so a warm scratch can be
-    /// threaded through a sequence of traced runs.
-    pub fn trace_run_with_scratch_on(
-        &self,
-        engine: Engine,
-        q: &[f64],
-        query: Query,
-        scratch: &mut Scratch,
-    ) -> RunOutcome {
-        self.check_query(q);
-        self.run_core_on(engine, q, query, None, scratch, true, &Budget::UNLIMITED)
-            .0
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by every public entry
-    fn run_core_on(
-        &self,
-        engine: Engine,
-        q: &[f64],
-        query: Query,
-        level_cap: Option<u16>,
-        scratch: &mut Scratch,
-        record_trace: bool,
-        budget: &Budget,
-    ) -> (RunOutcome, Option<TruncateReason>) {
-        #[cfg(feature = "stats")]
-        let (value_calls0, built0) = (
-            crate::curve::stats::value_calls(),
-            crate::envelope::stats::envelopes_built(),
-        );
-        let out = match engine {
-            Engine::Frozen => {
-                self.run_core_frozen(q, query, level_cap, scratch, record_trace, budget)
-            }
-            Engine::Pointer => {
-                self.run_core_pointer(q, query, level_cap, scratch, record_trace, budget)
-            }
-        };
-        #[cfg(feature = "stats")]
-        {
-            scratch.stats.nodes_refined += out.0.iterations as u64;
-            scratch.stats.envelopes_built +=
-                crate::envelope::stats::envelopes_built() - built0;
-            scratch.stats.curve_value_calls += crate::curve::stats::value_calls() - value_calls0;
-        }
-        out
-    }
-
-    /// The frozen-path refinement loop: identical control flow to
-    /// [`run_core_pointer`](Self::run_core_pointer), but per-node bounds
-    /// come from the SoA index through the **two-pass frontier kernel**.
-    /// Each heap pop gathers its children into the frontier buffer, pass 1
+    /// The refinement loop of every entry point. Per-node bounds come from
+    /// the frozen SoA index through the **two-pass frontier kernel**: each
+    /// heap pop gathers its children into the frontier buffer, pass 1
     /// streams the batched fused geometry kernels over them emitting
     /// [`NodeInterval`] records, and pass 2 sweeps those records building
     /// envelopes.
@@ -1168,10 +965,10 @@ impl<S: NodeShape> Evaluator<S> {
     /// Frontier order is left child then right child — exactly the push
     /// order of the old one-node-at-a-time loop — and pass 2 accumulates
     /// `lb`/`ub` in that same order with the same per-node arithmetic, so
-    /// outcomes and traces are bitwise identical to the pre-frontier engine
-    /// (and to the pointer oracle).
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by every public entry
-    fn run_core_frozen(
+    /// outcomes and traces are bitwise identical to the pre-frontier engine.
+    /// `tests/frozen_equivalence.rs` checks every node's bounds against the
+    /// pointer tree's.
+    fn run_core(
         &self,
         q: &[f64],
         query: Query,
@@ -1181,6 +978,11 @@ impl<S: NodeShape> Evaluator<S> {
         budget: &Budget,
     ) -> (RunOutcome, Option<TruncateReason>) {
         debug_assert_eq!(q.len(), self.dims, "query dimensionality mismatch");
+        #[cfg(feature = "stats")]
+        let (value_calls0, built0) = (
+            crate::curve::stats::value_calls(),
+            crate::envelope::stats::envelopes_built(),
+        );
         let ctx = QueryContext::new(&self.kernel, self.method, q);
         let method = self.method;
         let curve = self.kernel.curve();
@@ -1297,123 +1099,11 @@ impl<S: NodeShape> Evaluator<S> {
                 });
             }
         }
-        (RunOutcome { lb, ub, iterations }, truncated)
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by every public entry
-    fn run_core_pointer(
-        &self,
-        q: &[f64],
-        query: Query,
-        level_cap: Option<u16>,
-        scratch: &mut Scratch,
-        record_trace: bool,
-        budget: &Budget,
-    ) -> (RunOutcome, Option<TruncateReason>) {
-        debug_assert_eq!(q.len(), self.dims, "query dimensionality mismatch");
-        let qn = norm2(q);
-        scratch.heap.clear();
-        scratch.trace.clear();
-        let heap = &mut scratch.heap;
-        let trace = &mut scratch.trace;
-        let mut lb = 0.0f64;
-        let mut ub = 0.0f64;
-
-        let push = |heap: &mut BinaryHeap<Entry>,
-                    lb: &mut f64,
-                    ub: &mut f64,
-                    tree: &Tree<S>,
-                    node: NodeId,
-                    negated: bool| {
-            let n = tree.node(node);
-            let b = node_bounds(self.method, &self.kernel, &n.shape, &n.stats, q, qn);
-            let (elb, eub) = contribution(&b, negated);
-            *lb += elb;
-            *ub += eub;
-            heap.push(Entry {
-                gap: eub - elb,
-                node,
-                negated,
-                lb: elb,
-                ub: eub,
-            });
-        };
-
-        // Loaded (frozen-only) sides cannot reach here: the validated
-        // entry points reject `Engine::Pointer` with
-        // `KarlError::PointerEngineUnavailable` first.
-        fn expect_tree<S: NodeShape>(side: &SideData<S>) -> &Tree<S> {
-            side.tree()
-                .expect("pointer engine requires built trees; loaded indexes are frozen-only")
-        }
-        if let Some(side) = &self.pos {
-            let tree = expect_tree(side);
-            push(heap, &mut lb, &mut ub, tree, tree.root(), false);
-        }
-        if let Some(side) = &self.neg {
-            let tree = expect_tree(side);
-            push(heap, &mut lb, &mut ub, tree, tree.root(), true);
-        }
-
-        let mut iterations = 0usize;
-        let mut leaf_points = 0u64;
-        let mut truncated = None;
-        let mut deadline_start = None;
-        let budgeted = !budget.is_unlimited();
-        if record_trace {
-            trace.push(TraceStep {
-                iteration: 0,
-                lb,
-                ub,
-            });
-        }
-        loop {
-            if terminated(query, lb, ub) {
-                break;
-            }
-            if budgeted {
-                if let Some(reason) = budget.check(iterations, leaf_points, &mut deadline_start) {
-                    truncated = Some(reason);
-                    break;
-                }
-            }
-            let Some(entry) = heap.pop() else { break };
-            iterations += 1;
-            lb -= entry.lb;
-            ub -= entry.ub;
-            let tree = expect_tree(if entry.negated {
-                self.neg.as_ref().expect("negated entry without neg tree")
-            } else {
-                self.pos.as_ref().expect("entry without pos tree")
-            });
-            let node = tree.node(entry.node);
-            let refine_exactly = node.is_leaf() || level_cap.is_some_and(|cap| node.depth >= cap);
-            if refine_exactly {
-                leaf_points += (node.end - node.start) as u64;
-                let exact = self.kernel.eval_range(
-                    tree.points(),
-                    tree.weights(),
-                    tree.norms2(),
-                    node.start,
-                    node.end,
-                    q,
-                    qn,
-                );
-                let signed = if entry.negated { -exact } else { exact };
-                lb += signed;
-                ub += signed;
-            } else {
-                let (a, b) = node.children.expect("non-leaf node has children");
-                push(heap, &mut lb, &mut ub, tree, a, entry.negated);
-                push(heap, &mut lb, &mut ub, tree, b, entry.negated);
-            }
-            if record_trace {
-                trace.push(TraceStep {
-                    iteration: iterations,
-                    lb,
-                    ub,
-                });
-            }
+        #[cfg(feature = "stats")]
+        {
+            scratch.stats.nodes_refined += iterations as u64;
+            scratch.stats.envelopes_built += crate::envelope::stats::envelopes_built() - built0;
+            scratch.stats.curve_value_calls += crate::curve::stats::value_calls() - value_calls0;
         }
         (RunOutcome { lb, ub, iterations }, truncated)
     }
@@ -1599,8 +1289,10 @@ mod tests {
             let truth = aggregate_exact(&kernel, &ps, &w, q);
             for level in [0, 1, 3, 8] {
                 let tau = truth * 1.2;
-                assert_eq!(eval.tkaq_at_level(q, tau, level), truth >= tau);
-                let est = eval.ekaq_at_level(q, 0.1, level);
+                let out = eval.run_query(q, Query::Tkaq { tau }, Some(level));
+                assert_eq!(decide_tkaq(&out, tau), truth >= tau);
+                let out = eval.run_query(q, Query::Ekaq { eps: 0.1 }, Some(level));
+                let est = estimate_ekaq(&out);
                 assert!(est >= 0.9 * truth - 1e-12 && est <= 1.1 * truth + 1e-12);
             }
         }
@@ -1686,14 +1378,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_ekaq_ends_within_contract() {
+    fn traced_ekaq_run_ends_within_contract() {
         let ps = clustered_points(400, 2, 23);
         let w = vec![1.0; 400];
         let kernel = Kernel::gaussian(0.4);
         let eval = Evaluator::<Rect>::build(&ps, &w, kernel, BoundMethod::Karl, 8);
         let q = ps.point(5).to_vec();
         let truth = aggregate_exact(&kernel, &ps, &w, &q);
-        let (est, trace) = eval.trace_ekaq(&q, 0.2);
+        let (out, trace) = eval.trace_run(&q, Query::Ekaq { eps: 0.2 });
+        let est = estimate_ekaq(&out);
         assert!(!trace.is_empty());
         assert!(est >= 0.8 * truth - 1e-12 && est <= 1.2 * truth + 1e-12);
         let last = trace.last().unwrap();

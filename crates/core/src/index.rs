@@ -9,11 +9,11 @@
 //! evaluator with no per-node work and no sidecar configuration.
 //!
 //! A restored evaluator answers **bitwise identically** to the one that
-//! wrote the file: the frozen engine reads exactly the buffers that were
+//! wrote the file: the refinement loop reads exactly the buffers that were
 //! serialized, in the same order (pinned by
-//! `tests/index_persist_equivalence.rs`). Only the pointer-arena engine
-//! is unavailable on a loaded evaluator
-//! ([`KarlError::PointerEngineUnavailable`]).
+//! `tests/index_persist_equivalence.rs`). The pointer node arena is not
+//! stored, so [`Evaluator::pos_tree`]/[`Evaluator::neg_tree`] are `None`
+//! on a loaded evaluator.
 
 use std::path::Path;
 

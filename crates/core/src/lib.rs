@@ -64,7 +64,7 @@ pub mod serve;
 pub mod stream;
 pub mod tuning;
 
-pub use batch::{resolve_threads, BatchOutcome, BatchReport, QueryBatch};
+pub use batch::{resolve_threads, BatchReport, QueryBatch};
 pub use error::KarlError;
 pub use bounds::{
     assemble_interval, node_bounds, node_bounds_frozen, node_interval_frozen,
@@ -75,7 +75,7 @@ pub use envelope::{envelope, envelope_parts, Envelope, EnvelopeParts, Line};
 #[cfg(feature = "stats")]
 pub use eval::RunStats;
 pub use eval::{
-    BallEvaluator, Budget, Engine, Estimate, Evaluator, KdEvaluator, Outcome, Query, RunOutcome,
+    BallEvaluator, Budget, Estimate, Evaluator, KdEvaluator, Outcome, Query, RunOutcome,
     Scratch, TkaqDecision, TraceStep, TruncateReason,
 };
 #[cfg(feature = "fault-inject")]

@@ -594,7 +594,7 @@ pub struct ServeStats {
     pub queue_depth_max: u64,
     /// Admission-to-response latency histogram.
     pub latency: LatencyHistogram,
-    /// Engine counters accumulated across micro-batches.
+    /// Run counters accumulated across micro-batches.
     #[cfg(feature = "stats")]
     pub run: crate::eval::RunStats,
 }
@@ -1151,7 +1151,7 @@ fn decode_request(value: &Json, dims: usize) -> Result<Request, (Option<u64>, Ka
                 "ekaq" => Query::Ekaq { eps: param("eps")? },
                 _ => Query::Within { tol: param("tol")? },
             };
-            crate::error::validate_spec(query).map_err(fail)?;
+            query.validate().map_err(fail)?;
             let coords = value
                 .get("q")
                 .and_then(Json::as_arr)

@@ -20,7 +20,9 @@ use std::time::{Duration, Instant};
 use karl_geom::PointSet;
 
 use crate::bounds::BoundMethod;
-use crate::eval::{BallEvaluator, Evaluator, KdEvaluator, Query, RunOutcome};
+use crate::eval::{
+    decide_tkaq, estimate_ekaq, BallEvaluator, Evaluator, KdEvaluator, Query, RunOutcome,
+};
 use crate::kernel::Kernel;
 
 /// The index families the tuner chooses between (the two supported by
@@ -508,7 +510,8 @@ impl OnlineTuner {
     /// Runs the full in-situ pipeline: build, probe, answer.
     ///
     /// # Panics
-    /// Panics if `queries` is empty or `sample_fraction ∉ (0, 1]`.
+    /// Panics if `queries` is empty, `sample_fraction ∉ (0, 1]`, or the
+    /// workload's parameter is invalid ([`Query::validate`]).
     pub fn run(
         &self,
         points: &PointSet,
@@ -523,6 +526,7 @@ impl OnlineTuner {
             self.sample_fraction > 0.0 && self.sample_fraction <= 1.0,
             "sample fraction out of range"
         );
+        workload.validate().unwrap_or_else(|e| panic!("{e}"));
         let t0 = Instant::now();
         let eval = KdEvaluator::build(points, weights, kernel, method, self.leaf_capacity);
         let build_time = t0.elapsed();
@@ -554,7 +558,7 @@ impl OnlineTuner {
             let li = s % candidates.len();
             let q = queries.point(s);
             let ts = Instant::now();
-            answers[s] = answer_at_level(&eval, q, workload, candidates[li]);
+            answers[s] = answer_to_level(&eval, q, workload, candidates[li]);
             level_time[li] += ts.elapsed();
             level_hits[li] += 1;
         }
@@ -572,7 +576,7 @@ impl OnlineTuner {
         let t2 = Instant::now();
         #[allow(clippy::needless_range_loop)]
         for i in sample_count..queries.len() {
-            answers[i] = answer_at_level(&eval, queries.point(i), workload, chosen_level);
+            answers[i] = answer_to_level(&eval, queries.point(i), workload, chosen_level);
         }
         let query_time = t2.elapsed();
         let total = build_time + tuning_time + query_time;
@@ -587,20 +591,18 @@ impl OnlineTuner {
     }
 }
 
-fn answer_at_level(eval: &KdEvaluator, q: &[f64], workload: Query, level: u16) -> f64 {
+fn answer_to_level(eval: &KdEvaluator, q: &[f64], workload: Query, level: u16) -> f64 {
+    let out = eval.run_query(q, workload, Some(level));
     match workload {
         Query::Tkaq { tau } => {
-            if eval.tkaq_at_level(q, tau, level) {
+            if decide_tkaq(&out, tau) {
                 1.0
             } else {
                 0.0
             }
         }
-        Query::Ekaq { eps } => eval.ekaq_at_level(q, eps, level),
-        Query::Within { tol } => {
-            let out = eval.run_query(q, Query::Within { tol }, Some(level));
-            0.5 * (out.lb + out.ub)
-        }
+        Query::Ekaq { .. } => estimate_ekaq(&out),
+        Query::Within { .. } => 0.5 * (out.lb + out.ub),
     }
 }
 

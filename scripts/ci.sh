@@ -24,7 +24,7 @@ cargo build --release -p karl-bench --benches --features criterion-benches --off
 echo "==> guard: batch engine bitwise-identical to sequential at KARL_THREADS=4"
 KARL_THREADS=4 cargo test -q --offline -p karl --test batch_equivalence
 
-echo "==> guard: frozen engine bitwise-identical to pointer at KARL_THREADS=4"
+echo "==> guard: frozen index matches the pointer tree node by node (bounds bitwise) at KARL_THREADS=4"
 KARL_THREADS=4 cargo test -q --offline -p karl --test frozen_equivalence
 
 echo "==> guard: persisted index round-trip bitwise-identical at KARL_THREADS=4"
@@ -97,6 +97,10 @@ karl=target/release/karl
 "$karl" generate --name home --n 500 --out "$cli_tmp/data.csv" >/dev/null
 # Family and leaf pinned to the in-memory `batch` defaults (kd, 80).
 "$karl" index build "$cli_tmp/data.csv" "$cli_tmp/home.idx" --family kd --leaf 80 >/dev/null
+# With both pinned the cost model is not consulted, so a second build of
+# the same data must write identical bytes.
+"$karl" index build "$cli_tmp/data.csv" "$cli_tmp/again.idx" --family kd --leaf 80 >/dev/null
+cmp "$cli_tmp/home.idx" "$cli_tmp/again.idx"
 "$karl" index info "$cli_tmp/home.idx" | grep -q '(verified)'
 "$karl" batch --data "$cli_tmp/data.csv" --queries "$cli_tmp/data.csv" \
     --tau 0.3 --threads 2 | grep -v '^#' > "$cli_tmp/fresh.out"
@@ -114,7 +118,7 @@ KARL_SIMD=scalar "$karl" batch --data "$cli_tmp/data.csv" \
 diff "$cli_tmp/fresh.out" "$cli_tmp/scalar_env.out"
 "$karl" index info "$cli_tmp/home.idx" | grep -q 'simd backend'
 rm -rf "$cli_tmp"
-echo "ok: CLI loaded-index and forced-scalar outputs are byte-identical"
+echo "ok: pinned index builds, loaded-index and forced-scalar outputs are byte-identical"
 
 echo "==> guard: serve smoke — overload ladder, fault quarantine, byte-stable replays"
 # One scripted NDJSON session through the release binary exercising the

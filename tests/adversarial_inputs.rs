@@ -4,7 +4,7 @@
 //! valid — build an evaluator whose answers match the brute-force oracle,
 //! denormals, duplicates, mixed signs, extreme γ and all.
 
-use karl::core::{BoundMethod, Evaluator, KarlError, Kernel, Query, QueryBatch};
+use karl::core::{BoundMethod, Budget, Evaluator, KarlError, Kernel, Query, QueryBatch, Scratch};
 use karl::geom::{Ball, PointSet, Rect};
 use karl_testkit::adversarial::{adversarial_case, shape_edge_case, Expected};
 use karl_testkit::oracle::exact_sum;
@@ -182,22 +182,35 @@ fn invalid_parameters_are_rejected_with_typed_errors() {
     let eval =
         Evaluator::<Rect>::try_build(&points, &[1.0, 1.0], Kernel::gaussian(1.0), BoundMethod::Karl, 2)
             .unwrap();
+    let run = |q: &[f64], query: Query| {
+        eval.run_budgeted(q, query, None, &Budget::UNLIMITED, &mut Scratch::new())
+    };
     assert!(matches!(
-        eval.try_run_query(&[0.0], Query::Tkaq { tau: 0.5 }, None),
+        run(&[0.0], Query::Tkaq { tau: 0.5 }),
         Err(KarlError::DimMismatch { expected: 2, got: 1 })
     ));
     assert!(matches!(
-        eval.try_run_query(&[f64::NAN, 0.0], Query::Tkaq { tau: 0.5 }, None),
+        run(&[f64::NAN, 0.0], Query::Tkaq { tau: 0.5 }),
         Err(KarlError::NonFiniteQuery { dim: 0, .. })
     ));
     assert!(matches!(
-        eval.try_run_query(&[0.0, 0.0], Query::Ekaq { eps: -1.0 }, None),
+        run(&[0.0, 0.0], Query::Ekaq { eps: -1.0 }),
         Err(KarlError::InvalidEps { .. })
     ));
     assert!(matches!(
-        eval.try_run_query(&[0.0, 0.0], Query::Within { tol: 0.0 }, None),
+        run(&[0.0, 0.0], Query::Within { tol: 0.0 }),
         Err(KarlError::InvalidTol { .. })
     ));
+    // The same parameter rule, checked without an evaluator.
+    assert!(matches!(
+        Query::Tkaq { tau: f64::NAN }.validate(),
+        Err(KarlError::InvalidTau { .. })
+    ));
+    assert!(matches!(
+        Query::Ekaq { eps: f64::INFINITY }.validate(),
+        Err(KarlError::InvalidEps { .. })
+    ));
+    assert!(Query::Tkaq { tau: f64::INFINITY }.validate().is_ok());
 }
 
 #[test]

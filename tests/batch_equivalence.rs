@@ -1,11 +1,14 @@
 //! The batch engine's determinism contract as a property: for random
 //! datasets, mixed-sign weights, every query variant, both index families
-//! and thread counts 1/2/4/8, [`QueryBatch`] must return outcomes
+//! and thread counts 1/2/4/8, [`QueryBatch`] must return results
 //! **bitwise identical** to looping the sequential `Evaluator::run_query`
 //! over the same queries. No tolerance anywhere — the parallel engine may
 //! not change a single bit.
 
-use karl::core::{BoundMethod, Evaluator, Kernel, Query, QueryBatch, RunOutcome, Scratch};
+use karl::core::{
+    BoundMethod, Budget, Evaluator, KarlError, Kernel, Outcome, Query, QueryBatch, RunOutcome,
+    Scratch,
+};
 use karl::geom::{Ball, PointSet, Rect};
 use karl_testkit::rng::{Rng, SeedableRng, StdRng};
 use karl_testkit::{prop_assert, prop_assert_eq, props};
@@ -70,14 +73,19 @@ props! {
             queries.iter().map(|q| kd.run_query(q, query, None)).collect();
         let seq_ball: Vec<RunOutcome> =
             queries.iter().map(|q| ball.run_query(q, query, None)).collect();
+        let complete = |seq: &[RunOutcome]| -> Vec<Result<Outcome, KarlError>> {
+            seq.iter().map(|&o| Ok(Outcome::Complete(o))).collect()
+        };
+        let (want_kd, want_ball) = (complete(&seq_kd), complete(&seq_ball));
 
         for threads in [1usize, 2, 4, 8] {
-            let out_kd = QueryBatch::new(&queries, query).threads(threads).run(&kd);
-            prop_assert_eq!(out_kd.outcomes(), &seq_kd[..]);
+            let out_kd = QueryBatch::new(&queries, query).threads(threads).try_run(&kd).unwrap();
+            prop_assert_eq!(out_kd.results(), &want_kd[..]);
             prop_assert!(out_kd.threads() >= 1 && out_kd.threads() <= threads);
 
-            let out_ball = QueryBatch::new(&queries, query).threads(threads).run(&ball);
-            prop_assert_eq!(out_ball.outcomes(), &seq_ball[..]);
+            let out_ball =
+                QueryBatch::new(&queries, query).threads(threads).try_run(&ball).unwrap();
+            prop_assert_eq!(out_ball.results(), &want_ball[..]);
         }
 
         // One shared scratch across all queries must not leak state between
@@ -85,6 +93,10 @@ props! {
         let mut scratch = Scratch::new();
         for (q, expect) in queries.iter().zip(&seq_kd) {
             prop_assert_eq!(kd.run_with_scratch(q, query, None, &mut scratch), *expect);
+            prop_assert_eq!(
+                kd.run_budgeted(q, query, None, &Budget::UNLIMITED, &mut scratch),
+                Ok(Outcome::Complete(*expect))
+            );
         }
     }
 }

@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use karl::core::{
-    aggregate_exact, BoundMethod, Budget, Evaluator, Kernel, Outcome, Query, TkaqDecision,
+    aggregate_exact, BoundMethod, Budget, Evaluator, Kernel, Outcome, Query, Scratch, TkaqDecision,
     TruncateReason,
 };
 use karl::geom::{PointSet, Rect};
@@ -59,7 +59,8 @@ fn unlimited_budget_is_bitwise_identical_to_run_query() {
     for i in [0, 17, 123] {
         let q = ps.point(i);
         let plain = eval.run_query(q, query, None);
-        match eval.run_budgeted(q, query, None, &Budget::UNLIMITED).unwrap() {
+        let budgeted = eval.run_budgeted(q, query, None, &Budget::UNLIMITED, &mut Scratch::new());
+        match budgeted.unwrap() {
             Outcome::Complete(out) => {
                 assert_eq!(out.lb.to_bits(), plain.lb.to_bits());
                 assert_eq!(out.ub.to_bits(), plain.ub.to_bits());
@@ -77,7 +78,10 @@ fn generous_budget_is_complete_and_identical() {
     let q = ps.point(42);
     let plain = eval.run_query(q, query, None);
     let budget = Budget::unlimited().max_nodes(plain.iterations as u64 + 1);
-    match eval.run_budgeted(q, query, None, &budget).unwrap() {
+    match eval
+        .run_budgeted(q, query, None, &budget, &mut Scratch::new())
+        .unwrap()
+    {
         Outcome::Complete(out) => {
             assert_eq!(out.lb.to_bits(), plain.lb.to_bits());
             assert_eq!(out.ub.to_bits(), plain.ub.to_bits());
@@ -94,7 +98,13 @@ fn node_budget_truncates_with_enclosing_interval() {
         let q = ps.point(i);
         let exact = aggregate_exact(&kernel, &ps, &w, q);
         let out = eval
-            .run_budgeted(q, query, None, &Budget::unlimited().max_nodes(5))
+            .run_budgeted(
+                q,
+                query,
+                None,
+                &Budget::unlimited().max_nodes(5),
+                &mut Scratch::new(),
+            )
             .unwrap();
         match out {
             Outcome::Truncated { lb, ub, reason } => {
@@ -123,6 +133,7 @@ fn leaf_budget_trips_with_its_own_reason() {
             Query::Within { tol: 1e-9 },
             None,
             &Budget::unlimited().max_leaf_points(1),
+            &mut Scratch::new(),
         )
         .unwrap();
     match out {
@@ -144,6 +155,7 @@ fn zero_deadline_truncates_deterministically_at_the_root() {
             Query::Within { tol: 1e-9 },
             None,
             &Budget::unlimited().deadline(Duration::ZERO),
+            &mut Scratch::new(),
         )
         .unwrap();
     match out {
@@ -180,10 +192,16 @@ fn deadline_after_saturates_and_expired_deadlines_answer_from_the_root() {
     let q = ps.point(5);
     let query = Query::Within { tol: 1e-9 };
     let expired = eval
-        .run_budgeted(q, query, None, &base.deadline_after(ms(3), ms(9)))
+        .run_budgeted(
+            q,
+            query,
+            None,
+            &base.deadline_after(ms(3), ms(9)),
+            &mut Scratch::new(),
+        )
         .unwrap();
     let zero_nodes = eval
-        .run_budgeted(q, query, None, &base.max_nodes(0))
+        .run_budgeted(q, query, None, &base.max_nodes(0), &mut Scratch::new())
         .unwrap();
     match (expired, zero_nodes) {
         (
@@ -277,7 +295,7 @@ props! {
         let exact = aggregate_exact(&kernel, &ps, &w, q);
         let query = Query::Within { tol: 1e-7 };
         let budget = Budget::unlimited().max_nodes(cap);
-        let out = eval.run_budgeted(q, query, None, &budget).unwrap();
+        let out = eval.run_budgeted(q, query, None, &budget, &mut Scratch::new()).unwrap();
         let tol = 1e-9 * (1.0 + exact.abs());
         prop_assert!(out.lb() <= exact + tol && exact <= out.ub() + tol,
             "[{}, {}] misses {exact}", out.lb(), out.ub());

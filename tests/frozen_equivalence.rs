@@ -1,23 +1,31 @@
-//! The tentpole contract of the frozen SoA index as a property: for random
-//! datasets, mixed-sign weights, both index families, both bound methods
-//! (SOTA and KARL), every kernel and every query variant, the frozen engine
-//! must return [`RunOutcome`]s and refinement traces **bitwise identical**
-//! to the pointer engine's. No tolerance anywhere — freezing the tree and
-//! fusing the bound kernels may not change a single bit, a single
-//! iteration count, or a single trace step.
+//! The frozen SoA index must reproduce the pointer tree it was compiled
+//! from, node by node. For random datasets, mixed-sign weights (so both
+//! the P⁺ and the P⁻ tree exist), both index families, every kernel and
+//! both bound methods (SOTA and KARL), every node of every frozen tree
+//! must carry the pointer node's topology — leaf flag, point range, depth
+//! and children in refinement order — and its fused bound kernels must
+//! return `[LB, UB]` pairs **bitwise identical** to [`node_bounds`] on the
+//! pointer node, for 16 queries. No tolerance anywhere: freezing the tree
+//! and fusing the bound kernels may not change a single bit.
 //!
-//! The pointer tree is the differential-testing oracle: it computes each
-//! per-node quantity with the original separate primitives, so any
-//! reassociation sneaking into the fused kernels fails here immediately.
+//! Both frozen paths are checked: the one-node [`node_bounds_frozen`] and
+//! the two-pass frontier kernel ([`node_intervals_frozen`] then
+//! [`assemble_interval`]) that the refinement loop runs on each pop's
+//! children. The pointer node computes each quantity with the original
+//! separate primitives, so any reassociation sneaking into the fused
+//! kernels fails here immediately.
 
-use karl::core::{BoundMethod, Engine, Evaluator, Kernel, Query, QueryBatch, RunOutcome, Scratch};
-use karl::geom::{Ball, PointSet, Rect};
-use karl::tree::NodeShape;
+use karl::core::{
+    assemble_interval, node_bounds, node_bounds_frozen, node_intervals_frozen, BoundMethod,
+    BoundPair, Evaluator, Kernel, QueryContext,
+};
+use karl::geom::{norm2, Ball, PointSet, Rect};
+use karl::tree::{FrozenTree, NodeId, NodeShape, Tree};
 use karl_testkit::rng::{Rng, SeedableRng, StdRng};
-use karl_testkit::{prop_assert, prop_assert_eq, props};
+use karl_testkit::{prop_assert_eq, props};
 
 /// Two Gaussian blobs plus a uniform background (same shape as the batch
-/// equivalence test) so refinement actually walks the tree.
+/// equivalence test) so the trees get some depth.
 fn clustered(n: usize, d: usize, rng: &mut StdRng) -> PointSet {
     let mut data = Vec::with_capacity(n * d);
     for i in 0..n {
@@ -43,88 +51,119 @@ fn mixed_weights(n: usize, rng: &mut StdRng) -> Vec<f64> {
         .collect()
 }
 
-/// Asserts pointer/frozen bitwise identity for one evaluator over a query
-/// stream: raw outcomes, level-capped outcomes, traces, shared-scratch
-/// runs, and batch execution at several thread counts.
-fn assert_engines_identical<S: NodeShape + Sync>(
-    eval: &Evaluator<S>,
-    queries: &PointSet,
-    query: Query,
-    level_cap: Option<u16>,
-) {
-    let pointer: Vec<RunOutcome> = queries
-        .iter()
-        .map(|q| eval.run_query_on(Engine::Pointer, q, query, None))
-        .collect();
+fn bits(b: BoundPair) -> (u64, u64) {
+    (b.lb.to_bits(), b.ub.to_bits())
+}
 
-    let mut scratch = Scratch::new();
-    for (i, q) in queries.iter().enumerate() {
-        // Fresh-scratch frozen run.
-        let frozen = eval.run_query_on(Engine::Frozen, q, query, None);
-        prop_assert_eq!(frozen, pointer[i]);
-        // Reused-scratch frozen run (the batch worker's hot path).
-        let reused = eval.run_with_scratch_on(Engine::Frozen, q, query, None, &mut scratch);
-        prop_assert_eq!(reused, pointer[i]);
-        // Level-capped runs through both engines.
-        let cap_p = eval.run_query_on(Engine::Pointer, q, query, level_cap);
-        let cap_f = eval.run_query_on(Engine::Frozen, q, query, level_cap);
-        prop_assert_eq!(cap_f, cap_p);
-        // Full refinement traces, step by step.
-        let (out_p, trace_p) = eval.trace_run_on(Engine::Pointer, q, query);
-        let (out_f, trace_f) = eval.trace_run_on(Engine::Frozen, q, query);
-        prop_assert_eq!(out_f, out_p);
-        prop_assert_eq!(trace_f, trace_p);
-        prop_assert!(!trace_f.is_empty());
+/// Asserts that `frozen` reproduces `tree` at every node: topology, and
+/// bound pairs for every query under both bound methods.
+fn assert_nodes_match<S: NodeShape>(
+    tree: &Tree<S>,
+    frozen: &FrozenTree,
+    kernel: &Kernel,
+    queries: &PointSet,
+) {
+    prop_assert_eq!(frozen.num_nodes(), tree.num_nodes());
+    prop_assert_eq!(frozen.dims(), tree.dims());
+    let mut gathered = Vec::new();
+    for (id, node) in tree.iter_nodes() {
+        prop_assert_eq!(frozen.is_leaf(id), node.is_leaf(), "node {}", id);
+        prop_assert_eq!(frozen.range(id), (node.start, node.end), "node {}", id);
+        prop_assert_eq!(frozen.depth(id), node.depth, "node {}", id);
+        gathered.clear();
+        let has_children = frozen.gather_children(id, &mut gathered);
+        prop_assert_eq!(has_children, node.children.is_some(), "node {}", id);
+        let children: Vec<NodeId> = node.children.map_or(Vec::new(), |(l, r)| vec![l, r]);
+        prop_assert_eq!(&gathered, &children, "node {}", id);
     }
 
-    // The batch engine defaults to the frozen path; at every thread count
-    // it must reproduce the sequential pointer loop bitwise.
-    for threads in [1usize, 2, 4, 8] {
-        let batch = QueryBatch::new(queries, query).threads(threads).run(eval);
-        prop_assert_eq!(batch.outcomes(), &pointer[..]);
-        let batch_ptr = QueryBatch::new(queries, query)
-            .engine(Engine::Pointer)
-            .threads(threads)
-            .run(eval);
-        prop_assert_eq!(batch_ptr.outcomes(), &pointer[..]);
+    let mut intervals = Vec::new();
+    for method in [BoundMethod::Sota, BoundMethod::Karl] {
+        for q in queries.iter() {
+            let qn = norm2(q);
+            let ctx = QueryContext::new(kernel, method, q);
+            let pointer = |id: NodeId| {
+                let node = tree.node(id);
+                bits(node_bounds(method, kernel, &node.shape, &node.stats, q, qn))
+            };
+            // The loop's first frontier: the root alone.
+            node_intervals_frozen(&ctx, frozen, &[frozen.root()], &mut intervals);
+            let got = bits(assemble_interval(method, kernel.curve(), &intervals[0]));
+            prop_assert_eq!(got, pointer(tree.root()), "{:?} root q {:?}", method, q);
+            for (id, node) in tree.iter_nodes() {
+                let want = pointer(id);
+                let got = bits(node_bounds_frozen(&ctx, frozen, id));
+                prop_assert_eq!(got, want, "{:?} node {} q {:?}", method, id, q);
+                // The frontier pass of one heap pop: the node's children,
+                // gathered in refinement order, through the batched kernel.
+                let Some((l, r)) = node.children else {
+                    continue;
+                };
+                node_intervals_frozen(&ctx, frozen, &[l, r], &mut intervals);
+                prop_assert_eq!(intervals.len(), 2);
+                for (iv, child) in intervals.iter().zip([l, r]) {
+                    prop_assert_eq!(iv.node, child);
+                    let got = bits(assemble_interval(method, kernel.curve(), iv));
+                    prop_assert_eq!(
+                        got,
+                        pointer(child),
+                        "{:?} child {} q {:?}",
+                        method,
+                        child,
+                        q
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Checks both sides of one evaluator.
+fn assert_evaluator_matches<S: NodeShape>(
+    eval: &Evaluator<S>,
+    kernel: &Kernel,
+    queries: &PointSet,
+) {
+    for (tree, frozen) in [
+        (eval.pos_tree(), eval.pos_frozen()),
+        (eval.neg_tree(), eval.neg_frozen()),
+    ] {
+        let (Some(tree), Some(frozen)) = (tree, frozen) else {
+            panic!("mixed-sign weights build both the P+ and the P- tree");
+        };
+        assert_nodes_match(tree, frozen, kernel, queries);
     }
 }
 
 props! {
     #[test]
-    fn frozen_engine_is_bitwise_identical_to_pointer(
+    fn frozen_index_matches_pointer_tree_per_node(
         seed in 0u64..1_000_000,
         n in 30usize..170,
         d in 1usize..9,
         leaf in 1usize..24,
-        kernel_id in 0usize..4,
-        variant in 0usize..3
+        kernel_id in 0usize..4
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        // Bound method and level cap are drawn from the seeded RNG (the
-        // testkit tuple strategy tops out at six bindings).
-        let sota = rng.random_bool(0.5);
-        let cap = rng.random_range(0u32..6) as u16;
         let points = clustered(n, d, &mut rng);
-        let weights = mixed_weights(n, &mut rng);
+        let mut weights = mixed_weights(n, &mut rng);
+        // Pin one point to each sign so both trees always exist.
+        weights[0] = weights[0].abs();
+        weights[1] = -weights[1].abs();
         let kernel = match kernel_id {
             0 => Kernel::gaussian(rng.random_range(0.3..1.5)),
             1 => Kernel::laplacian(rng.random_range(0.3..1.2)),
             2 => Kernel::polynomial(rng.random_range(0.1..0.5), 0.2, 2),
             _ => Kernel::sigmoid(rng.random_range(0.1..0.6), 0.1),
         };
-        let query = match variant {
-            0 => Query::Tkaq { tau: rng.random_range(-0.5..0.5) },
-            1 => Query::Ekaq { eps: rng.random_range(0.01..0.4) },
-            _ => Query::Within { tol: rng.random_range(0.001..0.1) },
-        };
-        let method = if sota { BoundMethod::Sota } else { BoundMethod::Karl };
         let queries = clustered(16, d, &mut rng);
 
-        let kd = Evaluator::<Rect>::build(&points, &weights, kernel, method, leaf);
-        assert_engines_identical(&kd, &queries, query, Some(cap));
+        // The bound method is a query-time choice: one build per family
+        // serves both, and `assert_nodes_match` runs SOTA and KARL.
+        let kd = Evaluator::<Rect>::build(&points, &weights, kernel, BoundMethod::Karl, leaf);
+        assert_evaluator_matches(&kd, &kernel, &queries);
 
-        let ball = Evaluator::<Ball>::build(&points, &weights, kernel, method, leaf);
-        assert_engines_identical(&ball, &queries, query, Some(cap));
+        let ball = Evaluator::<Ball>::build(&points, &weights, kernel, BoundMethod::Karl, leaf);
+        assert_evaluator_matches(&ball, &kernel, &queries);
     }
 }

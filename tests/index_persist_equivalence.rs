@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 
 use karl::core::{
-    AnyEvaluator, BoundMethod, Budget, Engine, Evaluator, IndexMeta, KarlError, Kernel, Query,
+    AnyEvaluator, BoundMethod, Budget, Evaluator, IndexMeta, KarlError, Kernel, Outcome, Query,
     QueryBatch, Scratch, StorageCalibration, StorageProfile,
 };
 use karl::geom::{Ball, PointSet, Rect};
@@ -81,20 +81,23 @@ fn assert_round_trip<S: NodeShape + Sync>(
     prop_assert_eq!(loaded.len(), fresh.len());
     prop_assert_eq!(loaded.dims(), fresh.dims());
     prop_assert_eq!(loaded.max_depth(), fresh.max_depth());
-    prop_assert!(!loaded.pointer_available() || fresh.is_empty());
+    // The pointer node arena is not persisted.
+    prop_assert!(loaded.pos_tree().is_none() && loaded.neg_tree().is_none());
 
     let mut scratch = Scratch::new();
     for q in queries.iter() {
         // Raw outcomes, fresh and reused scratch.
         let a = fresh.run_query(q, query, None);
         prop_assert_eq!(loaded.run_query(q, query, None), a);
+        prop_assert_eq!(loaded.run_with_scratch(q, query, None, &mut scratch), a);
+        // The validated entry point the batch engine runs.
         prop_assert_eq!(
-            loaded.run_with_scratch_on(Engine::Frozen, q, query, None, &mut scratch),
-            a
+            loaded.run_budgeted(q, query, None, &Budget::UNLIMITED, &mut scratch),
+            Ok(Outcome::Complete(a))
         );
         // Refinement traces, step by step.
-        let (out_f, trace_f) = fresh.trace_run_on(Engine::Frozen, q, query);
-        let (out_l, trace_l) = loaded.trace_run_on(Engine::Frozen, q, query);
+        let (out_f, trace_f) = fresh.trace_run(q, query);
+        let (out_l, trace_l) = loaded.trace_run(q, query);
         prop_assert_eq!(out_l, out_f);
         prop_assert_eq!(trace_l, trace_f);
         // Ground-truth scans agree bit for bit (same buffers, same order).
@@ -103,27 +106,19 @@ fn assert_round_trip<S: NodeShape + Sync>(
 
     // Batch execution: explicit thread counts plus the KARL_THREADS
     // default (ci.sh replays this test under KARL_THREADS=4).
-    let baseline = QueryBatch::new(queries, query).threads(1).run(fresh);
+    let baseline = QueryBatch::new(queries, query)
+        .threads(1)
+        .try_run(fresh)
+        .unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let batch = QueryBatch::new(queries, query).threads(threads).run(&loaded);
-        prop_assert_eq!(batch.outcomes(), baseline.outcomes());
+        let batch = QueryBatch::new(queries, query)
+            .threads(threads)
+            .try_run(&loaded)
+            .unwrap();
+        prop_assert_eq!(batch.results(), baseline.results());
     }
-    let default_threads = QueryBatch::new(queries, query).run(&loaded);
-    prop_assert_eq!(default_threads.outcomes(), baseline.outcomes());
-
-    // The pointer engine is typed-unavailable on the loaded side.
-    let q0: Vec<f64> = queries.point(0).to_vec();
-    let err = loaded
-        .run_budgeted_with_scratch_on(
-            Engine::Pointer,
-            &q0,
-            query,
-            None,
-            &Budget::unlimited(),
-            &mut Scratch::new(),
-        )
-        .unwrap_err();
-    prop_assert_eq!(err, KarlError::PointerEngineUnavailable);
+    let default_threads = QueryBatch::new(queries, query).try_run(&loaded).unwrap();
+    prop_assert_eq!(default_threads.results(), baseline.results());
 }
 
 props! {

@@ -17,7 +17,7 @@
 use std::sync::Mutex;
 
 use karl::core::{
-    BoundMethod, Engine, Evaluator, Kernel, Query, QueryBatch, RunOutcome, TraceStep,
+    BoundMethod, Evaluator, KarlError, Kernel, Outcome, Query, QueryBatch, RunOutcome, TraceStep,
 };
 use karl::geom::{backend_name, set_backend, Ball, PointSet, Rect, SimdChoice};
 use karl::tree::NodeShape;
@@ -64,15 +64,14 @@ fn mixed_weights(n: usize, rng: &mut StdRng) -> Vec<f64> {
 }
 
 /// Everything one backend produces for one (evaluator, query stream) pair:
-/// per-query outcomes and traces through both engines, plus batch reports
-/// at several thread counts. Derives `PartialEq` so a whole run compares
-/// bitwise in one assertion.
+/// per-query outcomes and traces, plus batch results at several thread
+/// counts. Derives `PartialEq` so a whole run compares bitwise in one
+/// assertion.
 #[derive(Debug, PartialEq)]
 struct BackendRun {
-    pointer: Vec<RunOutcome>,
-    frozen: Vec<RunOutcome>,
+    outcomes: Vec<RunOutcome>,
     traces: Vec<(RunOutcome, Vec<TraceStep>)>,
-    batches: Vec<Vec<RunOutcome>>,
+    batches: Vec<Vec<Result<Outcome, KarlError>>>,
 }
 
 fn run_everything<S: NodeShape + Sync>(
@@ -80,31 +79,24 @@ fn run_everything<S: NodeShape + Sync>(
     queries: &PointSet,
     query: Query,
 ) -> BackendRun {
-    let pointer = queries
+    let outcomes = queries
         .iter()
-        .map(|q| eval.run_query_on(Engine::Pointer, q, query, None))
+        .map(|q| eval.run_query(q, query, None))
         .collect();
-    let frozen = queries
-        .iter()
-        .map(|q| eval.run_query_on(Engine::Frozen, q, query, None))
-        .collect();
-    let traces = queries
-        .iter()
-        .map(|q| eval.trace_run_on(Engine::Frozen, q, query))
-        .collect();
+    let traces = queries.iter().map(|q| eval.trace_run(q, query)).collect();
     let batches = [1usize, 2, 4, 8]
         .iter()
         .map(|&t| {
             QueryBatch::new(queries, query)
                 .threads(t)
-                .run(eval)
-                .outcomes()
+                .try_run(eval)
+                .unwrap()
+                .results()
                 .to_vec()
         })
         .collect();
     BackendRun {
-        pointer,
-        frozen,
+        outcomes,
         traces,
         batches,
     }
@@ -208,10 +200,10 @@ fn pinned_tail_case_is_backend_independent() {
     ] {
         set_backend(SimdChoice::Scalar);
         let es = Evaluator::<Rect>::build(&points, &weights, kernel, BoundMethod::Karl, 2);
-        let (out_s, trace_s) = es.trace_run_on(Engine::Frozen, &q, query);
+        let (out_s, trace_s) = es.trace_run(&q, query);
         set_backend(SimdChoice::Auto);
         let ed = Evaluator::<Rect>::build(&points, &weights, kernel, BoundMethod::Karl, 2);
-        let (out_d, trace_d) = ed.trace_run_on(Engine::Frozen, &q, query);
+        let (out_d, trace_d) = ed.trace_run(&q, query);
         assert_eq!(out_d, out_s, "{query:?} outcome under {}", backend_name());
         assert_eq!(trace_d, trace_s, "{query:?} trace under {}", backend_name());
     }
